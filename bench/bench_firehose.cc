@@ -19,9 +19,7 @@
 //     plus decision replay across a re-run.
 //  3. Replay identity: for a closed-loop workload that never exhausts
 //     tickets, gated per-period cluster reports are byte-identical to
-//     direct ClusterCenter::Submit at executor pool sizes 1/2/8, with
-//     executor work stealing on AND off (the single-queue-equivalent
-//     reference mode) — stealing moves where tasks run, never results.
+//     direct ClusterCenter::Submit at executor pool sizes 1/2/8.
 //  4. Executor allocation audit: a warmed 8-worker pool runs thousands
 //     of Submit→execute→Wait cycles under the counting operator new
 //     (alloc_probe.cc); CHECKs zero steady-state heap allocations on
@@ -110,9 +108,9 @@ struct FirehoseResult {
 
 FirehoseResult RunFirehose(int producers, int offers_per_producer,
                            int tickets_per_class, int tenant_classes) {
-  // Pool size 8: the work-stealing executor's headline configuration —
-  // the perf-trajectory number tracks the admission path at the core
-  // count the stealing deques are built for.
+  // Pool size 8: the executor's headline configuration — the
+  // perf-trajectory number tracks the admission path at a pool wider
+  // than the 4-shard period fan-out.
   cluster::ClusterCenter center(BaseClusterOptions(8), RegisterQuotes);
   gate::IngressOptions options;
   options.tenant_classes = tenant_classes;
@@ -298,11 +296,9 @@ stream::QuerySubmission ClosedLoopSubmission(int period, int t) {
 }
 
 std::vector<cluster::ClusterPeriodReport> RunClosedLoop(
-    int executor_threads, bool gated, int periods, bool stealing = true) {
-  cluster::ClusterOptions cluster_options =
-      BaseClusterOptions(executor_threads);
-  cluster_options.executor_stealing = stealing;
-  cluster::ClusterCenter center(cluster_options, RegisterQuotes);
+    int executor_threads, bool gated, int periods) {
+  cluster::ClusterCenter center(BaseClusterOptions(executor_threads),
+                                RegisterQuotes);
   gate::IngressOptions options;
   options.tenant_classes = 2;
   options.tickets_per_class = 32;  // Never exhausted by this workload.
@@ -361,19 +357,15 @@ void CheckReportsIdentical(
 
 void RunReplayExperiment(int periods) {
   std::printf("\n== gate replay identity vs direct Submit, executor "
-              "pools 1/2/8, stealing on/off (%d periods) ==\n",
+              "pools 1/2/8 (%d periods) ==\n",
               periods);
   const std::vector<cluster::ClusterPeriodReport> reference =
       RunClosedLoop(1, /*gated=*/false, periods);
   for (const int threads : {1, 2, 8}) {
-    for (const bool stealing : {true, false}) {
-      CheckReportsIdentical(
-          RunClosedLoop(threads, /*gated=*/true, periods, stealing),
-          reference);
-    }
+    CheckReportsIdentical(RunClosedLoop(threads, /*gated=*/true, periods),
+                          reference);
   }
-  std::printf("# gated == direct, byte-identical at every pool size, "
-              "stealing on or off\n");
+  std::printf("# gated == direct, byte-identical at every pool size\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -402,9 +394,10 @@ ExecutorAuditResult RunExecutorAuditExperiment(bool smoke) {
     }
     return acc;
   };
-  // Warm the per-worker rings, the ticket table, and the free lists;
-  // the audited window must hit only recycled storage.
-  run_cycles(512);
+  // Warm the queue ring and the ticket slots; the audited window must
+  // hit only recycled storage.
+  constexpr int kWarmup = 512;
+  run_cycles(kWarmup);
   ExecutorAuditResult r;
   const int audited = smoke ? 2000 : 20000;
   const int64_t heap_before = bench::AllocCount();
@@ -417,7 +410,8 @@ ExecutorAuditResult RunExecutorAuditExperiment(bool smoke) {
   r.heap_allocs = bench::AllocCount() - heap_before;
   r.tasks_per_sec = audited / audit_seconds;
   const cluster::TaskExecutorStats pool = executor.StatsReport();
-  STREAMBID_CHECK_EQ(pool.local_hits + pool.stolen, pool.executed);
+  STREAMBID_CHECK_EQ(pool.submitted, kWarmup + audited);
+  STREAMBID_CHECK_EQ(pool.executed, pool.submitted);
   std::printf("# %d submit→wait cycles, %.0f tasks/s, %lld heap "
               "allocations, %lld inline-slot spills\n",
               audited, r.tasks_per_sec,

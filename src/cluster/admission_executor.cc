@@ -73,24 +73,6 @@ AdmissionExecutor::AdmitBatchParallel(
   return tasks_.RunAll(std::move(tasks));
 }
 
-Result<AdmissionTicket> AdmissionExecutor::Enqueue(
-    const service::AdmissionRequest& request) {
-  STREAMBID_RETURN_IF_ERROR(tasks_.worker_service(0).Validate(request));
-  return tasks_.Submit<service::AdmissionResponse>(
-      [this, request](WorkerContext& context) {
-        return AdmitOn(context, request);
-      });
-}
-
-Result<AdmissionTicket> AdmissionExecutor::TryEnqueue(
-    const service::AdmissionRequest& request) {
-  STREAMBID_RETURN_IF_ERROR(tasks_.worker_service(0).Validate(request));
-  return tasks_.TrySubmit<service::AdmissionResponse>(
-      [this, request](WorkerContext& context) {
-        return AdmitOn(context, request);
-      });
-}
-
 ExecutorStats AdmissionExecutor::StatsReport() const {
   ExecutorStats merged;
   for (const std::unique_ptr<WorkerStats>& shard : worker_stats_) {
@@ -108,21 +90,9 @@ ExecutorStats AdmissionExecutor::StatsReport() const {
   }
   const TaskExecutorStats pool = tasks_.StatsReport();
   merged.tasks_per_worker = pool.tasks_per_worker;
-  merged.steals_per_worker = pool.steals_per_worker;
-  merged.tasks_local = pool.local_hits;
-  merged.tasks_stolen = pool.stolen;
+  merged.tasks_local = pool.executed;
   merged.queue_high_water = pool.queue_high_water;
   return merged;
-}
-
-void AdmissionExecutor::ResetStats() {
-  for (const std::unique_ptr<WorkerStats>& shard : worker_stats_) {
-    MutexLock lock(shard->mutex);
-    shard->total_requests = 0;
-    shard->failed_requests = 0;
-    shard->per_mechanism.clear();
-  }
-  tasks_.ResetStats();
 }
 
 }  // namespace streambid::cluster

@@ -12,10 +12,6 @@
 //    TaskExecutor::RunAll, responses positionally aligned and
 //    byte-identical to serial AdmissionService::AdmitBatch (timing
 //    fields excepted);
-//  - Enqueue / TryEnqueue / Poll / Wait: async submit of individual
-//    auctions with typed-ticket completion draining; TryEnqueue is the
-//    backpressure path against a bounded queue (kResourceExhausted
-//    instead of unbounded growth);
 //  - AdmitOn: run one auction on a worker's own service from inside a
 //    generic task — the hook the ClusterCenter's pipelined period
 //    chains use so their admissions still land in these rolling stats.
@@ -31,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,9 +38,6 @@
 #include "service/admission_service.h"
 
 namespace streambid::cluster {
-
-/// Completion handle for an asynchronously enqueued auction.
-using AdmissionTicket = Ticket<service::AdmissionResponse>;
 
 /// Rolling per-mechanism statistics aggregated from the
 /// AdmissionDiagnostics of every successful request the executor ran.
@@ -68,23 +60,21 @@ struct ExecutorStats {
   /// tasks (e.g. the ClusterCenter's period chains); its length equals
   /// num_threads() — the pool is the only place work can run.
   std::vector<int64_t> tasks_per_worker;
-  /// Pool tasks an idle worker stole from another worker's deque,
-  /// indexed by the thief's worker id (see TaskExecutorStats).
-  std::vector<int64_t> steals_per_worker;
-  /// Pool tasks executed from the owner's own deque (local hits).
+  /// Pool tasks executed; equal to the sum of tasks_per_worker. Kept
+  /// beside tasks_stolen for readers that report a steal fraction
+  /// (perfbench's cluster.steal_frac): the pool runs one shared FIFO
+  /// queue, so every task counts as local.
   int64_t tasks_local = 0;
-  /// Pool tasks executed via steal (tasks_local + tasks_stolen equals
-  /// the pool-wide executed count).
+  /// Always 0: the pool has no per-worker queues to steal from.
   int64_t tasks_stolen = 0;
   /// Highest pool-wide queued-task depth observed.
   int64_t queue_high_water = 0;
 };
 
 /// Thread-pool admission runtime, a facade over TaskExecutor.
-/// Thread-safe: any thread may submit batches, enqueue requests, and
-/// poll tickets concurrently. Instances referenced by in-flight
-/// requests must outlive their completion (instances are immutable and
-/// may back many concurrent requests).
+/// Thread-safe: any thread may submit batches concurrently. Instances
+/// referenced by in-flight requests must outlive their completion
+/// (instances are immutable and may back many concurrent requests).
 class AdmissionExecutor {
  public:
   explicit AdmissionExecutor(const ExecutorOptions& options = {});
@@ -96,7 +86,7 @@ class AdmissionExecutor {
 
   /// The generic task surface sharing this executor's pool — submit
   /// arbitrary closures (period pipelines, prepare fan-outs) alongside
-  /// admissions. Lifecycle (Shutdown) also lives here.
+  /// admissions.
   TaskExecutor& tasks() { return tasks_; }
   const TaskExecutor& tasks() const { return tasks_; }
 
@@ -110,37 +100,6 @@ class AdmissionExecutor {
   Result<std::vector<service::AdmissionResponse>> AdmitBatchParallel(
       const std::vector<service::AdmissionRequest>& requests);
 
-  /// Validates and enqueues one auction; the returned ticket completes
-  /// on some worker. Validation errors are returned here, execution
-  /// errors via Poll/Wait. Blocks for space when the queue is bounded
-  /// and full.
-  Result<AdmissionTicket> Enqueue(const service::AdmissionRequest& request);
-
-  /// Non-blocking Enqueue: kResourceExhausted when the bounded queue
-  /// (ExecutorOptions::max_queue_depth) is full — the backpressure
-  /// signal for async producers.
-  Result<AdmissionTicket> TryEnqueue(
-      const service::AdmissionRequest& request);
-
-  /// Non-blocking completion check: empty while the ticket is still
-  /// queued or running; otherwise the response (or execution error),
-  /// which is removed — a second Poll of the same ticket is kNotFound.
-  std::optional<Result<service::AdmissionResponse>> Poll(
-      AdmissionTicket ticket) {
-    return tasks_.Poll(ticket);
-  }
-
-  /// Blocks until the ticket completes and returns its result (removing
-  /// it, as Poll does). kNotFound for never-issued or already-consumed
-  /// tickets.
-  Result<service::AdmissionResponse> Wait(AdmissionTicket ticket) {
-    return tasks_.Wait(ticket);
-  }
-
-  /// Outstanding (submitted, not yet consumed) tickets on the shared
-  /// pool — admission tickets plus any generic tasks.
-  int pending_tickets() const { return tasks_.pending_tasks(); }
-
   /// Runs one auction on `context`'s worker-local service and folds the
   /// outcome into the rolling stats. For use from inside TaskExecutor
   /// tasks (the ClusterCenter period chains): admission stays on the
@@ -153,18 +112,14 @@ class AdmissionExecutor {
   /// counters accumulated so far.
   ExecutorStats StatsReport() const;
 
-  /// Clears the rolling stats and pool counters (benches reset between
-  /// phases).
-  void ResetStats();
-
  private:
   void RecordStats(int worker_id,
                    const Result<service::AdmissionResponse>& result);
 
   /// Stats are sharded per worker so the hot path never contends on a
   /// global lock (each worker touches only its own accumulator; the
-  /// per-shard mutex only synchronizes against StatsReport/ResetStats
-  /// readers). StatsReport merges via RunningStats::Merge.
+  /// per-shard mutex only synchronizes against StatsReport readers).
+  /// StatsReport merges via RunningStats::Merge.
   struct WorkerStats {
     mutable Mutex mutex ACQUIRED_AFTER(kClusterRankBoundary)
         ACQUIRED_BEFORE(kExecutorRankBoundary) =

@@ -20,9 +20,6 @@ namespace {
 ExecutorOptions MakeExecutorOptions(const ClusterOptions& options) {
   ExecutorOptions executor_options;
   executor_options.num_threads = options.executor_threads;
-  executor_options.max_queue_depth = options.executor_queue_depth;
-  executor_options.steal = options.executor_stealing;
-  executor_options.steal_seed = options.executor_steal_seed;
   executor_options.metrics = options.metrics;
   return executor_options;
 }

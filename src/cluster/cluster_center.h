@@ -2,8 +2,9 @@
 // The sharded multi-center deployment: N DsmsCenters (each with its own
 // engine at total_capacity / N) behind a ShardRouter, with every period
 // stage — autoscaled prepare, admission, completion — running on the
-// executor's persistent worker pool and the per-shard PeriodReports
-// merged into a ClusterPeriodReport. This is the ROADMAP "sharded
+// executor's persistent worker pool (one FIFO queue that every worker
+// drains) and the per-shard PeriodReports merged into a
+// ClusterPeriodReport. This is the ROADMAP "sharded
 // multi-center" item plus the "period pipelining" item: no per-period
 // threads are ever spawned, and shards flow through their stages
 // independently instead of barriering between phases.
@@ -88,17 +89,6 @@ struct ClusterOptions {
   stream::EngineOptions engine_options;
   /// Executor pool size; 0 sizes to the hardware.
   int executor_threads = 0;
-  /// Executor queue bound passed through to ExecutorOptions; 0 means
-  /// unbounded. A bound must admit at least the period fan-out (one
-  /// chain per shard) or BeginPeriod will block on its own backlog.
-  int executor_queue_depth = 0;
-  /// Executor work stealing (ExecutorOptions::steal). Off is the
-  /// single-queue-equivalent reference mode; results are identical
-  /// either way — the replay tests assert exactly that.
-  bool executor_stealing = true;
-  /// Seed for the executor's deterministic steal-victim scan order
-  /// (ExecutorOptions::steal_seed).
-  uint64_t executor_steal_seed = 0x51EA15EEDULL;
   /// Per-shard closed-loop capacity autoscaling. Each shard runs its
   /// own CapacityAutoscaler against its share of total_capacity (the
   /// ratio bounds apply to the per-shard baseline); decisions are made

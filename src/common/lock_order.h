@@ -58,20 +58,10 @@ enum class LockRank : int {
   /// shards (striped; never held together).
   kClusterWorkerStats = 200,
 
-  // -- Executor layer (the task runtime's internal locks) -----------
-  /// TaskExecutor::WorkerDeque::mutex — per-worker ring deques
-  /// (striped; a worker never holds two deque locks at once).
-  kExecutorDeque = 300,
-  /// TaskExecutor::grow_mutex_ — serializes ticket-table growth.
-  kExecutorGrow = 310,
-  /// TaskExecutor::wake_mutex_ — the worker-parking eventcount.
-  kExecutorWake = 320,
-  /// TaskExecutor::space_mutex_ — the queue-space waiter protocol.
-  kExecutorSpace = 330,
-  /// TaskExecutor::done_mutex_ — the ticket/batch completion condvar.
-  /// Acquired while holding a deque mutex in the destructor's
-  /// FailPendingWork sweep (deque → done ascends).
-  kExecutorDone = 340,
+  // -- Executor layer -----------------------------------------------
+  /// TaskExecutor::mutex_ — the FIFO queue, the ticket slots and the
+  /// pool counters; its condvars park idle workers and waiters.
+  kExecutor = 300,
 
   // -- Telemetry layer (sinks; callees of every layer above) --------
   /// MetricsRegistry::mutex_ — instrument registration + snapshot.
@@ -103,11 +93,7 @@ inline constexpr RankTableEntry kRankTable[] = {
     {LockRank::kGateIngress, "kGateIngress"},
     {LockRank::kGateTicketPool, "kGateTicketPool"},
     {LockRank::kClusterWorkerStats, "kClusterWorkerStats"},
-    {LockRank::kExecutorDeque, "kExecutorDeque"},
-    {LockRank::kExecutorGrow, "kExecutorGrow"},
-    {LockRank::kExecutorWake, "kExecutorWake"},
-    {LockRank::kExecutorSpace, "kExecutorSpace"},
-    {LockRank::kExecutorDone, "kExecutorDone"},
+    {LockRank::kExecutor, "kExecutor"},
     {LockRank::kMetricsRegistry, "kMetricsRegistry"},
     {LockRank::kPeriodTracer, "kPeriodTracer"},
     {LockRank::kHistogramSlot, "kHistogramSlot"},

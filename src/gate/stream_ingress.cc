@@ -162,11 +162,6 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
     for (const std::unique_ptr<TicketHolder>& pool : pools_) {
       STREAMBID_RETURN_IF_ERROR(pool->Resize(per_class));
     }
-    // Mirror the probed concurrency onto the executor backlog bound,
-    // never below the period fan-out (one chain per shard — see
-    // ClusterOptions::executor_queue_depth).
-    STREAMBID_RETURN_IF_ERROR(center_->executor().tasks().SetMaxQueueDepth(
-        std::max(decision.concurrency, center_->num_shards())));
     if (probe_concurrency_metric_ != nullptr) {
       probe_concurrency_metric_->Set(
           static_cast<double>(decision.concurrency));

@@ -74,8 +74,7 @@ struct IngressOptions {
   double retry_after_periods = 1.0;
   /// Throughput-probing concurrency control (probe.enabled gates it).
   /// When enabled, each ClosePeriod feeds the admitted count to the
-  /// probe and applies its concurrency: split across the class pools
-  /// and mirrored onto the executor queue bound.
+  /// probe and applies its concurrency, split across the class pools.
   ProbeOptions probe;
   /// Maps a submission to its tenant class in [0, tenant_classes).
   /// Default: user id modulo tenant_classes. Must be thread-safe and
@@ -138,7 +137,7 @@ class StreamIngress {
   /// Drains the buffered submissions (in arrival order) into
   /// ClusterCenter::SubmitBatch, runs one cluster period, recycles the
   /// batch's tickets, and — when probing — applies the epoch's probe
-  /// decision to the pools and the executor queue bound. Driver thread
+  /// decision to the pools. Driver thread
   /// only. An empty buffer still runs the period (the cluster admits
   /// whatever its shards already hold).
   Result<GatedPeriodReport> ClosePeriod();

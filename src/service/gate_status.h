@@ -25,8 +25,7 @@ namespace streambid::service {
 Status ShedRejection(std::string_view pool, double retry_after_periods);
 
 /// True iff `status` is a gate shed produced by ShedRejection (as
-/// opposed to some other kResourceExhausted, e.g. executor
-/// backpressure).
+/// opposed to any other kResourceExhausted).
 bool IsShed(const Status& status);
 
 /// The retry-after hint carried by a shed status; nullopt when `status`

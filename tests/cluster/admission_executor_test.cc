@@ -1,14 +1,12 @@
 // Copyright 2026 The streambid Authors
 // AdmissionExecutor contract tests: parallel batches are byte-identical
-// to the serial AdmitBatch at every pool size, the async surface
+// to the serial AdmitBatch at every pool size, AdmitOn from pool tasks
 // completes out of order, and the rolling stats aggregate diagnostics.
 
 #include "cluster/admission_executor.h"
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <mutex>
 #include <vector>
 
 #include "workload/generator.h"
@@ -139,7 +137,8 @@ TEST(AdmissionExecutorTest, AsyncCompletionsDrainOutOfOrder) {
   AdmissionExecutor executor(ExecutorOptions{2});
   service::AdmissionService serial_service;
 
-  std::vector<AdmissionTicket> tickets;
+  // Requests are built before any task runs: the tasks read them by
+  // reference, as the ClusterCenter's period chains do.
   std::vector<service::AdmissionRequest> requests;
   for (uint32_t t = 0; t < 6; ++t) {
     service::AdmissionRequest request;
@@ -148,122 +147,37 @@ TEST(AdmissionExecutorTest, AsyncCompletionsDrainOutOfOrder) {
     request.mechanism = t % 2 == 0 ? "two-price" : "cat";
     request.seed = 5;
     request.request_index = t;
-    const auto ticket = executor.Enqueue(request);
+    requests.push_back(std::move(request));
+  }
+  std::vector<Ticket<service::AdmissionResponse>> tickets;
+  for (const service::AdmissionRequest& request : requests) {
+    const auto ticket = executor.tasks().Submit<service::AdmissionResponse>(
+        [&executor, &request](WorkerContext& context) {
+          return executor.AdmitOn(context, request);
+        });
     ASSERT_TRUE(ticket.ok());
     tickets.push_back(*ticket);
-    requests.push_back(std::move(request));
   }
 
   // Drain newest-first: completion order must not matter.
   for (size_t k = tickets.size(); k-- > 0;) {
-    const auto response = executor.Wait(tickets[k]);
+    const auto response = executor.tasks().Wait(tickets[k]);
     ASSERT_TRUE(response.ok()) << k;
     const auto expected = serial_service.Admit(requests[k]);
     ASSERT_TRUE(expected.ok());
     ExpectIdentical(*response, *expected, k);
   }
-  EXPECT_EQ(executor.pending_tickets(), 0);
-}
-
-TEST(AdmissionExecutorTest, PollEventuallyCompletesAndConsumes) {
-  const auction::AuctionInstance instance = TestInstance();
-  AdmissionExecutor executor(ExecutorOptions{1});
-  service::AdmissionRequest request;
-  request.instance = &instance;
-  request.capacity = 30.0;
-  request.mechanism = "cat";
-  const auto ticket = executor.Enqueue(request);
-  ASSERT_TRUE(ticket.ok());
-
-  std::optional<Result<service::AdmissionResponse>> polled;
-  while (!polled.has_value()) polled = executor.Poll(*ticket);
-  ASSERT_TRUE(polled->ok());
-  EXPECT_EQ((*polled)->diagnostics.mechanism, "cat");
-
-  // Consumed: a second poll (or wait) is kNotFound.
-  const auto again = executor.Poll(*ticket);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(executor.Wait(*ticket).status().code(), StatusCode::kNotFound);
-}
-
-TEST(AdmissionExecutorTest, EnqueueValidatesUpFront) {
-  AdmissionExecutor executor(ExecutorOptions{1});
-  service::AdmissionRequest request;  // Null instance.
-  request.mechanism = "cat";
-  EXPECT_EQ(executor.Enqueue(request).status().code(),
-            StatusCode::kInvalidArgument);
-  const auction::AuctionInstance instance = TestInstance();
-  request.instance = &instance;
-  request.mechanism = "bogus";
-  EXPECT_EQ(executor.Enqueue(request).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(executor.pending_tickets(), 0);
+  EXPECT_EQ(executor.tasks().pending_tasks(), 0);
+  EXPECT_EQ(executor.StatsReport().total_requests, 6);
 }
 
 TEST(AdmissionExecutorTest, UnknownTicketIsNotFound) {
   AdmissionExecutor executor(ExecutorOptions{1});
-  const auto polled = executor.Poll(AdmissionTicket{123});
-  ASSERT_TRUE(polled.has_value());
-  EXPECT_EQ(polled->status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(executor.Wait(AdmissionTicket{123}).status().code(),
+  EXPECT_EQ(executor.tasks()
+                .Wait(Ticket<service::AdmissionResponse>{123})
+                .status()
+                .code(),
             StatusCode::kNotFound);
-}
-
-TEST(AdmissionExecutorTest, TryEnqueueBackpressuresOnFullQueue) {
-  const auction::AuctionInstance instance = TestInstance();
-  // One worker, queue depth 1. Park the worker on a generic task from
-  // the shared TaskExecutor surface so the admission queue state is
-  // deterministic: one running task, one queued auction, queue full.
-  AdmissionExecutor executor(ExecutorOptions{1, 1});
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool started = false;
-  bool release = false;
-  const auto blocker = executor.tasks().Submit<int>(
-      [&](WorkerContext&) -> Result<int> {
-        std::unique_lock<std::mutex> lock(mutex);
-        started = true;
-        cv.notify_all();
-        cv.wait(lock, [&] { return release; });
-        return 0;
-      });
-  ASSERT_TRUE(blocker.ok());
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return started; });
-  }
-
-  service::AdmissionRequest request;
-  request.instance = &instance;
-  request.capacity = 30.0;
-  request.mechanism = "cat";
-  const auto queued = executor.TryEnqueue(request);
-  ASSERT_TRUE(queued.ok());
-
-  const auto rejected = executor.TryEnqueue(request);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-
-  // Validation errors still win over backpressure (checked up front).
-  service::AdmissionRequest bogus = request;
-  bogus.mechanism = "bogus";
-  EXPECT_EQ(executor.TryEnqueue(bogus).status().code(),
-            StatusCode::kNotFound);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
-  ASSERT_TRUE(executor.tasks().Wait(*blocker).ok());
-  const auto response = executor.Wait(*queued);
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->diagnostics.mechanism, "cat");
-  // Space freed: the backpressure clears.
-  const auto retried = executor.TryEnqueue(request);
-  ASSERT_TRUE(retried.ok());
-  ASSERT_TRUE(executor.Wait(*retried).ok());
 }
 
 TEST(AdmissionExecutorTest, StatsAggregatePerMechanism) {
@@ -294,10 +208,6 @@ TEST(AdmissionExecutorTest, StatsAggregatePerMechanism) {
     EXPECT_GE(m.elapsed_ms.mean(), 0.0) << name;
     EXPECT_EQ(m.deadline_overruns, 0) << name;
   }
-
-  executor.ResetStats();
-  EXPECT_EQ(executor.StatsReport().total_requests, 0);
-  EXPECT_TRUE(executor.StatsReport().per_mechanism.empty());
 }
 
 TEST(AdmissionExecutorTest, DestructionWithInFlightAuctionIsSafe) {
@@ -307,13 +217,18 @@ TEST(AdmissionExecutorTest, DestructionWithInFlightAuctionIsSafe) {
   // ordering this is a heap-use-after-free the ASan CI job catches.
   const auction::AuctionInstance instance = TestInstance();
   for (int round = 0; round < 20; ++round) {
-    AdmissionExecutor executor(ExecutorOptions{2});
     service::AdmissionRequest request;
     request.instance = &instance;
     request.capacity = 30.0;
     request.mechanism = "cat";
     request.request_index = static_cast<uint32_t>(round);
-    ASSERT_TRUE(executor.Enqueue(request).ok());
+    AdmissionExecutor executor(ExecutorOptions{2});
+    ASSERT_TRUE(executor.tasks()
+                    .Submit<service::AdmissionResponse>(
+                        [&executor, &request](WorkerContext& context) {
+                          return executor.AdmitOn(context, request);
+                        })
+                    .ok());
     // Destroy immediately: the auction may be queued, running, or done.
   }
   SUCCEED();
@@ -328,9 +243,7 @@ TEST(AdmissionExecutorTest, StatsCountDeadlineOverruns) {
   request.mechanism = "cat";
   // Any positive elapsed time overruns a denormal budget.
   request.options.time_budget_ms = 1e-300;
-  const auto ticket = executor.Enqueue(request);
-  ASSERT_TRUE(ticket.ok());
-  ASSERT_TRUE(executor.Wait(*ticket).ok());
+  ASSERT_TRUE(executor.AdmitBatchParallel({request}).ok());
   const ExecutorStats stats = executor.StatsReport();
   EXPECT_EQ(stats.per_mechanism.at("cat").deadline_overruns, 1);
 }

@@ -351,26 +351,6 @@ TEST(ClusterCenterTest, FailedSubmitLeavesStatusesUntouched) {
   }
 }
 
-TEST(ClusterCenterTest, BeginPeriodAfterShutdownRestoresSurface) {
-  ClusterCenter cluster(BaseOptions(2, RoutingPolicy::kHashUser),
-                        RegisterQuotes);
-  ASSERT_TRUE(cluster.Submit(MakeSubmission(1, 1, 40.0, 105.0)).ok());
-  ASSERT_TRUE(cluster.executor().tasks().Shutdown().ok());
-
-  // The chains cannot be submitted: the error surfaces...
-  const auto period = cluster.BeginPeriod();
-  ASSERT_FALSE(period.ok());
-  EXPECT_EQ(period.status().code(), StatusCode::kFailedPrecondition);
-
-  // ...and period_in_flight_ was restored, so the surface still
-  // accepts submissions and reports the executor error again (not a
-  // bogus "period already in flight").
-  EXPECT_TRUE(cluster.Submit(MakeSubmission(2, 2, 30.0, 110.0)).ok());
-  const auto again = cluster.BeginPeriod();
-  ASSERT_FALSE(again.ok());
-  EXPECT_NE(again.status().message(), "a period is already in flight");
-}
-
 TEST(ClusterCenterTest, SingleShardDegeneratesToOneCenter) {
   ClusterCenter cluster(BaseOptions(1, RoutingPolicy::kLeastLoaded),
                         RegisterQuotes);

@@ -153,61 +153,6 @@ TEST(PeriodPipelineTest, PipelinedMatchesBarrieredAtEveryPoolSize) {
   }
 }
 
-/// Like RunPeriods (pipelined, no autoscale), but with the executor's
-/// stealing mode and victim-scan seed set explicitly.
-std::vector<ClusterPeriodReport> RunPeriodsStealing(int executor_threads,
-                                                    bool stealing,
-                                                    uint64_t steal_seed) {
-  ClusterOptions options = BaseOptions(executor_threads,
-                                       /*autoscale=*/false);
-  options.executor_stealing = stealing;
-  options.executor_steal_seed = steal_seed;
-  ClusterCenter cluster(options, RegisterQuotes);
-  std::vector<ClusterPeriodReport> reports;
-  for (int period = 0; period < kPeriods; ++period) {
-    SubmitTenants(cluster, period);
-    const auto report = cluster.RunPeriod();
-    EXPECT_TRUE(report.ok());
-    reports.push_back(*report);
-  }
-  return reports;
-}
-
-TEST(PeriodPipelineTest, StealingIsInvisibleToReportsAtEveryPoolSize) {
-  // The determinism contract: stealing moves where a task runs, never
-  // what it computes. Reports with stealing on and off (the
-  // single-queue-equivalent reference mode) must be byte-identical to
-  // the barriered reference at pools 1/2/8.
-  const auto barriered = RunPeriods(2, /*autoscale=*/false,
-                                    /*pipelined=*/false);
-  for (int threads : {1, 2, 8}) {
-    for (const bool stealing : {true, false}) {
-      const auto reports =
-          RunPeriodsStealing(threads, stealing, ExecutorOptions{}.steal_seed);
-      ASSERT_EQ(reports.size(), barriered.size())
-          << threads << " stealing=" << stealing;
-      for (size_t p = 0; p < barriered.size(); ++p) {
-        ExpectClusterReportsIdentical(reports[p], barriered[p]);
-      }
-    }
-  }
-}
-
-TEST(PeriodPipelineTest, StealSeedNeverChangesResults) {
-  // The seed rotates each worker's victim-scan order; any observable
-  // difference between seeds would mean a task's result depended on
-  // which worker ran it.
-  const auto reference = RunPeriodsStealing(8, /*stealing=*/true, 1);
-  for (const uint64_t seed : {uint64_t{7}, uint64_t{99},
-                              uint64_t{0xDEADBEEF}}) {
-    const auto reports = RunPeriodsStealing(8, /*stealing=*/true, seed);
-    ASSERT_EQ(reports.size(), reference.size()) << seed;
-    for (size_t p = 0; p < reference.size(); ++p) {
-      ExpectClusterReportsIdentical(reports[p], reference[p]);
-    }
-  }
-}
-
 TEST(PeriodPipelineTest, PipelinedMatchesBarrieredUnderAutoscaling) {
   // The prepare stage now fans out per shard (candidate grid and all);
   // autoscaled provisioning decisions must still replay identically.

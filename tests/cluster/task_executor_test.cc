@@ -1,9 +1,9 @@
 // Copyright 2026 The streambid Authors
 // TaskExecutor contract tests: typed tickets round-trip arbitrary
 // closure results, RunAll aligns positionally and surfaces the
-// lowest-index failure, the bounded queue backpressures TrySubmit,
-// shutdown drains without hanging, and every failure mode (error
-// Result, consumed ticket, double shutdown) returns a typed error.
+// lowest-index failure, a single worker runs tasks in FIFO order,
+// destruction never hangs waiters, and every failure mode (error
+// Result, consumed or recycled ticket) returns a typed error.
 
 #include "cluster/task_executor.h"
 
@@ -21,7 +21,7 @@ namespace streambid::cluster {
 namespace {
 
 TEST(TaskExecutorTest, SubmitWaitRoundTripsTypedResults) {
-  TaskExecutor executor(ExecutorOptions{2, 0});
+  TaskExecutor executor(ExecutorOptions{2});
   EXPECT_EQ(executor.num_threads(), 2);
 
   const auto int_ticket = executor.Submit<int>(
@@ -43,7 +43,7 @@ TEST(TaskExecutorTest, SubmitWaitRoundTripsTypedResults) {
 }
 
 TEST(TaskExecutorTest, WorkerContextExposesWorkerLocalService) {
-  TaskExecutor executor(ExecutorOptions{3, 0});
+  TaskExecutor executor(ExecutorOptions{3});
   std::mutex mutex;
   std::vector<const service::AdmissionService*> seen;
   std::vector<int> ids;
@@ -73,7 +73,7 @@ TEST(TaskExecutorTest, WorkerContextExposesWorkerLocalService) {
 
 TEST(TaskExecutorTest, RunAllAlignsPositionally) {
   for (int threads : {1, 2, 8}) {
-    TaskExecutor executor(ExecutorOptions{threads, 0});
+    TaskExecutor executor(ExecutorOptions{threads});
     std::vector<TaskExecutor::Task<int>> tasks;
     for (int i = 0; i < 20; ++i) {
       tasks.push_back(
@@ -90,14 +90,14 @@ TEST(TaskExecutorTest, RunAllAlignsPositionally) {
 }
 
 TEST(TaskExecutorTest, RunAllEmptyBatchIsEmpty) {
-  TaskExecutor executor(ExecutorOptions{2, 0});
+  TaskExecutor executor(ExecutorOptions{2});
   const Result<std::vector<int>> results = executor.RunAll<int>({});
   ASSERT_TRUE(results.ok());
   EXPECT_TRUE(results->empty());
 }
 
 TEST(TaskExecutorTest, RunAllReportsLowestIndexFailure) {
-  TaskExecutor executor(ExecutorOptions{4, 0});
+  TaskExecutor executor(ExecutorOptions{4});
   std::atomic<int> executed{0};
   std::vector<TaskExecutor::Task<int>> tasks;
   for (int i = 0; i < 8; ++i) {
@@ -118,7 +118,7 @@ TEST(TaskExecutorTest, RunAllReportsLowestIndexFailure) {
 }
 
 TEST(TaskExecutorTest, ClosureErrorPropagatesThroughTicket) {
-  TaskExecutor executor(ExecutorOptions{1, 0});
+  TaskExecutor executor(ExecutorOptions{1});
   const auto ticket = executor.Submit<int>(
       [](WorkerContext&) -> Result<int> {
         return Status::OutOfRange("task failed");
@@ -136,21 +136,20 @@ TEST(TaskExecutorTest, ClosureErrorPropagatesThroughTicket) {
 }
 
 TEST(TaskExecutorTest, WaitOnConsumedOrUnknownTicketIsNotFound) {
-  TaskExecutor executor(ExecutorOptions{1, 0});
+  TaskExecutor executor(ExecutorOptions{1});
   const auto ticket = executor.Submit<int>(
       [](WorkerContext&) -> Result<int> { return 7; });
   ASSERT_TRUE(ticket.ok());
   ASSERT_TRUE(executor.Wait(*ticket).ok());
   EXPECT_EQ(executor.Wait(*ticket).status().code(), StatusCode::kNotFound);
-  const auto polled = executor.Poll(*ticket);
-  ASSERT_TRUE(polled.has_value());
-  EXPECT_EQ(polled->status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(executor.Wait(Ticket<int>{0}).status().code(),
+            StatusCode::kNotFound);
   EXPECT_EQ(executor.Wait(Ticket<int>{999}).status().code(),
             StatusCode::kNotFound);
 }
 
-/// Parks the single worker on a latch so the queue state is fully
-/// deterministic: one running task, then exactly max_queue_depth queued.
+/// Parks a worker on a latch so the queue state is fully deterministic:
+/// one running task, everything submitted after it queued.
 struct Latch {
   std::mutex mutex;
   std::condition_variable cv;
@@ -170,101 +169,13 @@ struct Latch {
   }
 };
 
-TEST(TaskExecutorTest, TrySubmitBackpressuresOnFullQueue) {
-  TaskExecutor executor(ExecutorOptions{1, 1});
-  Latch latch;
-  const auto blocker = executor.Submit<int>(
-      [&latch](WorkerContext&) -> Result<int> {
-        {
-          std::unique_lock<std::mutex> lock(latch.mutex);
-          latch.started = true;
-          latch.cv.notify_all();
-          latch.cv.wait(lock, [&latch] { return latch.release; });
-        }
-        return 1;
-      });
-  ASSERT_TRUE(blocker.ok());
-  latch.WaitStarted();  // Worker busy; the queue itself is empty.
-
-  const auto queued = executor.TrySubmit<int>(
-      [](WorkerContext&) -> Result<int> { return 2; });
-  ASSERT_TRUE(queued.ok());  // Fills the depth-1 queue.
-
-  const auto rejected = executor.TrySubmit<int>(
-      [](WorkerContext&) -> Result<int> { return 3; });
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-
-  // A blocking Submit parks until the worker frees queue space.
-  std::thread submitter([&executor] {
-    const auto late = executor.Submit<int>(
-        [](WorkerContext&) -> Result<int> { return 4; });
-    ASSERT_TRUE(late.ok());
-    const Result<int> result = executor.Wait(*late);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(*result, 4);
-  });
-
-  latch.Release();
-  submitter.join();
-  EXPECT_EQ(*executor.Wait(*blocker), 1);
-  EXPECT_EQ(*executor.Wait(*queued), 2);
-  EXPECT_EQ(executor.pending_tasks(), 0);
-}
-
-TEST(TaskExecutorTest, ShutdownDrainsPendingTasksThenRejectsWork) {
-  TaskExecutor executor(ExecutorOptions{2, 0});
-  std::atomic<int> ran{0};
-  std::vector<Ticket<int>> tickets;
-  for (int i = 0; i < 16; ++i) {
-    const auto ticket = executor.Submit<int>(
-        [i, &ran](WorkerContext&) -> Result<int> {
-          ++ran;
-          return i;
-        });
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
-  }
-  ASSERT_TRUE(executor.Shutdown().ok());
-  // Drained: every queued task ran, and its result is still claimable.
-  EXPECT_EQ(ran.load(), 16);
-  for (int i = 0; i < 16; ++i) {
-    const Result<int> result =
-        executor.Wait(tickets[static_cast<size_t>(i)]);
-    ASSERT_TRUE(result.ok()) << i;
-    EXPECT_EQ(*result, i);
-  }
-
-  // Post-shutdown submissions are typed errors, not hangs.
-  const auto after = executor.Submit<int>(
-      [](WorkerContext&) -> Result<int> { return 0; });
-  ASSERT_FALSE(after.ok());
-  EXPECT_EQ(after.status().code(), StatusCode::kFailedPrecondition);
-  const auto try_after = executor.TrySubmit<int>(
-      [](WorkerContext&) -> Result<int> { return 0; });
-  ASSERT_FALSE(try_after.ok());
-  EXPECT_EQ(try_after.status().code(), StatusCode::kFailedPrecondition);
-  const auto batch_after = executor.RunAll<int>(
-      {[](WorkerContext&) -> Result<int> { return 0; }});
-  ASSERT_FALSE(batch_after.ok());
-  EXPECT_EQ(batch_after.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(TaskExecutorTest, DoubleShutdownIsFailedPrecondition) {
-  TaskExecutor executor(ExecutorOptions{1, 0});
-  ASSERT_TRUE(executor.Shutdown().ok());
-  const Status second = executor.Shutdown();
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(TaskExecutorTest, DestructionWithoutShutdownNeverHangsWaiters) {
   // Queue deep work behind a parked worker, then destroy: queued tasks
   // are dropped and a concurrent-free Wait before destruction still
   // sees a typed error, not a hang (contract: the destructor completes
   // unconsumed tickets with kFailedPrecondition).
   std::optional<TaskExecutor> executor;
-  executor.emplace(ExecutorOptions{1, 0});
+  executor.emplace(ExecutorOptions{1});
   Latch latch;
   const auto blocker = executor->Submit<int>(
       [&latch](WorkerContext&) -> Result<int> {
@@ -287,7 +198,7 @@ TEST(TaskExecutorTest, DestructionWithoutShutdownNeverHangsWaiters) {
 }
 
 TEST(TaskExecutorTest, StatsTrackWorkersAndQueueHighWater) {
-  TaskExecutor executor(ExecutorOptions{2, 0});
+  TaskExecutor executor(ExecutorOptions{2});
   std::vector<TaskExecutor::Task<int>> tasks;
   for (int i = 0; i < 30; ++i) {
     tasks.push_back([i](WorkerContext&) -> Result<int> { return i; });
@@ -306,150 +217,101 @@ TEST(TaskExecutorTest, StatsTrackWorkersAndQueueHighWater) {
             30);
   EXPECT_GE(stats.queue_high_water, 1);
   EXPECT_LE(stats.queue_high_water, 30);
-
-  executor.ResetStats();
-  const TaskExecutorStats reset = executor.StatsReport();
-  EXPECT_EQ(reset.submitted, 0);
-  EXPECT_EQ(reset.executed, 0);
-  EXPECT_EQ(reset.queue_high_water, 0);
-  ASSERT_EQ(reset.tasks_per_worker.size(), 2u);
-  EXPECT_EQ(reset.tasks_per_worker[0], 0);
 }
 
-TEST(TaskExecutorTest, SetMaxQueueDepthRejectsNegativeAndReads) {
-  TaskExecutor executor(ExecutorOptions{1, 3});
-  EXPECT_EQ(executor.max_queue_depth(), 3);
-  const Status bad = executor.SetMaxQueueDepth(-1);
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(executor.max_queue_depth(), 3);
-  ASSERT_TRUE(executor.SetMaxQueueDepth(5).ok());
-  EXPECT_EQ(executor.max_queue_depth(), 5);
-}
-
-TEST(TaskExecutorTest, GrowingQueueDepthUnblocksParkedSubmit) {
-  TaskExecutor executor(ExecutorOptions{1, 1});
-  Latch latch;
-  const auto blocker = executor.Submit<int>(
-      [&latch](WorkerContext&) -> Result<int> {
-        {
-          std::unique_lock<std::mutex> lock(latch.mutex);
-          latch.started = true;
-          latch.cv.notify_all();
-          latch.cv.wait(lock, [&latch] { return latch.release; });
-        }
-        return 1;
+/// Submits a task that parks its worker on `latch` until Release(),
+/// then returns `value`.
+Result<Ticket<int>> SubmitLatched(TaskExecutor& executor, Latch& latch,
+                                  int value) {
+  return executor.Submit<int>(
+      [&latch, value](WorkerContext&) -> Result<int> {
+        std::unique_lock<std::mutex> lock(latch.mutex);
+        latch.started = true;
+        latch.cv.notify_all();
+        latch.cv.wait(lock, [&latch] { return latch.release; });
+        return value;
       });
+}
+
+TEST(TaskExecutorTest, SingleWorkerRunsTasksInSubmissionOrder) {
+  TaskExecutor executor(ExecutorOptions{1});
+  Latch latch;
+  const auto blocker = SubmitLatched(executor, latch, -1);
   ASSERT_TRUE(blocker.ok());
   latch.WaitStarted();
-  const auto queued = executor.TrySubmit<int>(
-      [](WorkerContext&) -> Result<int> { return 2; });
-  ASSERT_TRUE(queued.ok());  // Depth-1 queue now full.
-
-  // This Submit parks on the full queue; the resize — not a worker
-  // drain — is what must free it (the worker stays latched throughout).
-  Result<Ticket<int>> late(Status::Internal("not submitted"));
-  std::thread submitter([&executor, &late] {
-    late = executor.Submit<int>(
-        [](WorkerContext&) -> Result<int> { return 3; });
-  });
-  ASSERT_TRUE(executor.SetMaxQueueDepth(2).ok());
-  submitter.join();  // Worker still parked: only the resize unblocked it.
-  ASSERT_TRUE(late.ok());
-
-  latch.Release();
-  EXPECT_EQ(*executor.Wait(*blocker), 1);
-  EXPECT_EQ(*executor.Wait(*queued), 2);
-  EXPECT_EQ(*executor.Wait(*late), 3);
-}
-
-TEST(TaskExecutorTest, ResizeToUnboundedUnblocksParkedSubmit) {
-  // Regression: the space wait must re-check for depth 0 (unbounded) —
-  // "queue_.size() < 0" would otherwise park the producer forever.
-  TaskExecutor executor(ExecutorOptions{1, 1});
-  Latch latch;
-  const auto blocker = executor.Submit<int>(
-      [&latch](WorkerContext&) -> Result<int> {
-        {
-          std::unique_lock<std::mutex> lock(latch.mutex);
-          latch.started = true;
-          latch.cv.notify_all();
-          latch.cv.wait(lock, [&latch] { return latch.release; });
-        }
-        return 1;
-      });
-  ASSERT_TRUE(blocker.ok());
-  latch.WaitStarted();
-  const auto queued = executor.TrySubmit<int>(
-      [](WorkerContext&) -> Result<int> { return 2; });
-  ASSERT_TRUE(queued.ok());
-
-  Result<Ticket<int>> late(Status::Internal("not submitted"));
-  std::thread submitter([&executor, &late] {
-    late = executor.Submit<int>(
-        [](WorkerContext&) -> Result<int> { return 3; });
-  });
-  ASSERT_TRUE(executor.SetMaxQueueDepth(0).ok());
-  submitter.join();
-  ASSERT_TRUE(late.ok());
-
-  latch.Release();
-  EXPECT_EQ(*executor.Wait(*blocker), 1);
-  EXPECT_EQ(*executor.Wait(*queued), 2);
-  EXPECT_EQ(*executor.Wait(*late), 3);
-}
-
-TEST(TaskExecutorTest, ShrinkingQueueDepthRejectsNewTrySubmits) {
-  TaskExecutor executor(ExecutorOptions{1, 4});
-  Latch latch;
-  const auto blocker = executor.Submit<int>(
-      [&latch](WorkerContext&) -> Result<int> {
-        {
-          std::unique_lock<std::mutex> lock(latch.mutex);
-          latch.started = true;
-          latch.cv.notify_all();
-          latch.cv.wait(lock, [&latch] { return latch.release; });
-        }
-        return 1;
-      });
-  ASSERT_TRUE(blocker.ok());
-  latch.WaitStarted();
-  std::vector<Ticket<int>> queued;
-  for (int i = 0; i < 2; ++i) {
-    const auto ticket = executor.TrySubmit<int>(
-        [i](WorkerContext&) -> Result<int> { return i; });
+  // Everything below queues behind the parked worker, mixing async
+  // tickets with a batch submitted from another thread.
+  std::vector<int> order;  // Only the single worker writes it.
+  std::vector<Ticket<int>> tickets;
+  for (int i = 0; i < 8; ++i) {
+    const auto ticket = executor.Submit<int>(
+        [&order, i](WorkerContext&) -> Result<int> {
+          order.push_back(i);
+          return i;
+        });
     ASSERT_TRUE(ticket.ok());
-    queued.push_back(*ticket);
+    tickets.push_back(*ticket);
   }
-  // Two queued; shrinking under the backlog drops nothing but refuses
-  // new pushes until the workers drain below the new bound.
-  ASSERT_TRUE(executor.SetMaxQueueDepth(1).ok());
-  const auto refused = executor.TrySubmit<int>(
-      [](WorkerContext&) -> Result<int> { return 9; });
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
-
+  std::vector<TaskExecutor::Task<int>> batch;
+  for (int i = 8; i < 12; ++i) {
+    batch.push_back([&order, i](WorkerContext&) -> Result<int> {
+      order.push_back(i);
+      return i;
+    });
+  }
+  std::thread batcher([&executor, &batch] {
+    ASSERT_TRUE(executor.RunAll(std::move(batch)).ok());
+  });
+  while (executor.StatsReport().submitted < 1 + 8 + 4) {
+    std::this_thread::yield();
+  }
   latch.Release();
-  EXPECT_EQ(*executor.Wait(*blocker), 1);
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(*executor.Wait(queued[static_cast<size_t>(i)]), i);
+  batcher.join();
+  EXPECT_EQ(*executor.Wait(*blocker), -1);
+  for (const Ticket<int> ticket : tickets) {
+    ASSERT_TRUE(executor.Wait(ticket).ok());
   }
+  std::vector<int> expected(12);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(TaskExecutorTest, RecycledSlotNeverAnswersStaleTicket) {
+  TaskExecutor executor(ExecutorOptions{1});
+  const auto stale = executor.Submit<int>(
+      [](WorkerContext&) -> Result<int> { return 1; });
+  ASSERT_TRUE(stale.ok());
+  ASSERT_EQ(*executor.Wait(*stale), 1);
+
+  // The next task reuses the consumed ticket's slot (same low 32 bits)
+  // under a new generation, and stays pending behind the latch.
+  Latch latch;
+  const auto fresh = SubmitLatched(executor, latch, 2);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(fresh->id & 0xffffffffu, stale->id & 0xffffffffu);
+  ASSERT_NE(fresh->id, stale->id);
+  latch.WaitStarted();
+
+  // The stale handle neither blocks on nor captures the new occupant.
+  EXPECT_EQ(executor.Wait(*stale).status().code(), StatusCode::kNotFound);
+  latch.Release();
+  EXPECT_EQ(executor.Wait(*stale).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(*executor.Wait(*fresh), 2);
   EXPECT_EQ(executor.pending_tasks(), 0);
 }
 
-// ---------------------------------------------------------------------------
-// Work-stealing and stats-coherence regressions.
-
-TEST(TaskExecutorTest, StealingStressEightWorkersRacingSubmitters) {
-  ExecutorOptions options;
-  options.num_threads = 8;
-  TaskExecutor executor(options);
+TEST(TaskExecutorTest, StressEightWorkersRacingSubmittersAndBatches) {
+  TaskExecutor executor(ExecutorOptions{8});
   constexpr int kSubmitters = 4;
   constexpr int kPerSubmitter = 200;
+  constexpr int kBatchEvery = 20;
+  constexpr int kBatchSize = 5;
   std::atomic<int64_t> sum{0};
+  std::atomic<int64_t> batch_sum{0};
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&executor, &sum, s] {
+    submitters.emplace_back([&executor, &sum, &batch_sum, s] {
       std::vector<Ticket<int>> tickets;
       tickets.reserve(kPerSubmitter);
       for (int i = 0; i < kPerSubmitter; ++i) {
@@ -458,6 +320,17 @@ TEST(TaskExecutorTest, StealingStressEightWorkersRacingSubmitters) {
             [value](WorkerContext&) -> Result<int> { return value; });
         ASSERT_TRUE(ticket.ok());
         tickets.push_back(*ticket);
+        if (i % kBatchEvery == 0) {
+          // A blocking batch while this thread's own tickets and the
+          // other submitters' work are still in flight.
+          std::vector<TaskExecutor::Task<int>> batch;
+          for (int k = 0; k < kBatchSize; ++k) {
+            batch.push_back([k](WorkerContext&) -> Result<int> { return k; });
+          }
+          const auto results = executor.RunAll(std::move(batch));
+          ASSERT_TRUE(results.ok());
+          for (const int r : *results) batch_sum.fetch_add(r);
+        }
       }
       for (const Ticket<int>& ticket : tickets) {
         const Result<int> r = executor.Wait(ticket);
@@ -469,186 +342,17 @@ TEST(TaskExecutorTest, StealingStressEightWorkersRacingSubmitters) {
   for (std::thread& t : submitters) t.join();
 
   constexpr int64_t kTotal = kSubmitters * kPerSubmitter;
+  constexpr int64_t kBatches = kSubmitters * (kPerSubmitter / kBatchEvery);
   EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+  EXPECT_EQ(batch_sum.load(),
+            kBatches * kBatchSize * (kBatchSize - 1) / 2);
   const TaskExecutorStats stats = executor.StatsReport();
-  EXPECT_EQ(stats.submitted, kTotal);
-  EXPECT_EQ(stats.executed, kTotal);
-  EXPECT_EQ(stats.local_hits + stats.stolen, stats.executed);
+  EXPECT_EQ(stats.submitted, kTotal + kBatches * kBatchSize);
+  EXPECT_EQ(stats.executed, stats.submitted);
   ASSERT_EQ(stats.tasks_per_worker.size(), 8u);
-  ASSERT_EQ(stats.steals_per_worker.size(), 8u);
   EXPECT_EQ(std::accumulate(stats.tasks_per_worker.begin(),
                             stats.tasks_per_worker.end(), int64_t{0}),
             stats.executed);
-  EXPECT_EQ(std::accumulate(stats.steals_per_worker.begin(),
-                            stats.steals_per_worker.end(), int64_t{0}),
-            stats.stolen);
-  EXPECT_EQ(executor.pending_tasks(), 0);
-}
-
-TEST(TaskExecutorTest, IdleWorkersStealHotOwnersBacklog) {
-  ExecutorOptions options;
-  options.num_threads = 4;
-  TaskExecutor executor(options);
-  Latch latch;
-  constexpr int kChildren = 16;
-  std::atomic<int> done{0};
-  std::vector<Ticket<int>> children;
-  // The producer submits its children from inside a task, so they land
-  // on its own worker's deque, then parks that worker on the latch.
-  // Until it releases, only stealing can run the children.
-  const auto producer = executor.Submit<int>(
-      [&executor, &latch, &done, &children](WorkerContext&) -> Result<int> {
-        for (int i = 0; i < kChildren; ++i) {
-          const auto child = executor.TrySubmit<int>(
-              [&done, i](WorkerContext&) -> Result<int> {
-                done.fetch_add(1);
-                return i;
-              });
-          if (!child.ok()) return child.status();
-          children.push_back(*child);
-        }
-        std::unique_lock<std::mutex> lock(latch.mutex);
-        latch.started = true;
-        latch.cv.notify_all();
-        latch.cv.wait(lock, [&latch] { return latch.release; });
-        return -1;
-      });
-  ASSERT_TRUE(producer.ok());
-  latch.WaitStarted();
-  // Starvation regression: the hot owner never yields, yet the backlog
-  // drains. If stealing broke, this loop would hang the test.
-  while (done.load() < kChildren) std::this_thread::yield();
-  const TaskExecutorStats mid = executor.StatsReport();
-  EXPECT_GE(mid.stolen, kChildren);
-
-  latch.Release();
-  EXPECT_EQ(*executor.Wait(*producer), -1);
-  for (const Ticket<int>& child : children) {
-    EXPECT_TRUE(executor.Wait(child).ok());
-  }
-  EXPECT_EQ(executor.pending_tasks(), 0);
-}
-
-TEST(TaskExecutorTest, StealingDisabledStillDrainsEveryDeque) {
-  ExecutorOptions options;
-  options.num_threads = 4;
-  options.steal = false;
-  TaskExecutor executor(options);
-  std::vector<Ticket<int>> tickets;
-  for (int i = 0; i < 64; ++i) {
-    const auto ticket = executor.Submit<int>(
-        [i](WorkerContext&) -> Result<int> { return i; });
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(*executor.Wait(tickets[static_cast<size_t>(i)]), i);
-  }
-  const TaskExecutorStats stats = executor.StatsReport();
-  EXPECT_EQ(stats.executed, 64);
-  EXPECT_EQ(stats.stolen, 0);
-  EXPECT_EQ(stats.local_hits, 64);
-}
-
-TEST(TaskExecutorTest, ResetStatsOpensCoherentWindow) {
-  TaskExecutor executor(ExecutorOptions{2, 0});
-  for (int i = 0; i < 8; ++i) {
-    const auto ticket = executor.Submit<int>(
-        [](WorkerContext&) -> Result<int> { return 1; });
-    ASSERT_TRUE(ticket.ok());
-    ASSERT_TRUE(executor.Wait(*ticket).ok());
-  }
-  executor.ResetStats();
-  const TaskExecutorStats zero = executor.StatsReport();
-  EXPECT_EQ(zero.submitted, 0);
-  EXPECT_EQ(zero.executed, 0);
-  EXPECT_EQ(zero.stolen, 0);
-  EXPECT_EQ(zero.local_hits, 0);
-  EXPECT_EQ(std::accumulate(zero.tasks_per_worker.begin(),
-                            zero.tasks_per_worker.end(), int64_t{0}),
-            0);
-
-  for (int i = 0; i < 5; ++i) {
-    const auto ticket = executor.Submit<int>(
-        [](WorkerContext&) -> Result<int> { return 1; });
-    ASSERT_TRUE(ticket.ok());
-    ASSERT_TRUE(executor.Wait(*ticket).ok());
-  }
-  const TaskExecutorStats window = executor.StatsReport();
-  EXPECT_EQ(window.submitted, 5);
-  EXPECT_EQ(window.executed, 5);
-  EXPECT_EQ(window.local_hits + window.stolen, window.executed);
-}
-
-TEST(TaskExecutorTest, ResetStatsRacingCompletionsStaysCoherent) {
-  TaskExecutor executor(ExecutorOptions{2, 0});
-  std::atomic<bool> stop{false};
-  std::thread pump([&executor, &stop] {
-    while (!stop.load()) {
-      const auto ticket = executor.Submit<int>(
-          [](WorkerContext&) -> Result<int> { return 1; });
-      ASSERT_TRUE(ticket.ok());
-      ASSERT_TRUE(executor.Wait(*ticket).ok());
-    }
-  });
-  // The old executor zeroed counters non-atomically against racing
-  // workers; the baseline scheme must never report torn or negative
-  // windows, no matter when the reset lands.
-  for (int i = 0; i < 50; ++i) {
-    executor.ResetStats();
-    const TaskExecutorStats stats = executor.StatsReport();
-    EXPECT_GE(stats.submitted, 0);
-    EXPECT_GE(stats.executed, 0);
-    EXPECT_GE(stats.stolen, 0);
-    EXPECT_GE(stats.local_hits, 0);
-    EXPECT_EQ(stats.local_hits + stats.stolen, stats.executed);
-    EXPECT_EQ(std::accumulate(stats.tasks_per_worker.begin(),
-                              stats.tasks_per_worker.end(), int64_t{0}),
-              stats.executed);
-  }
-  stop.store(true);
-  pump.join();
-}
-
-TEST(TaskExecutorTest, QueueHighWaterTracksSharedDepthCounter) {
-  TaskExecutor executor(ExecutorOptions{1, 8});
-  Latch latch;
-  const auto blocker = executor.Submit<int>(
-      [&latch](WorkerContext&) -> Result<int> {
-        {
-          std::unique_lock<std::mutex> lock(latch.mutex);
-          latch.started = true;
-          latch.cv.notify_all();
-          latch.cv.wait(lock, [&latch] { return latch.release; });
-        }
-        return -1;
-      });
-  ASSERT_TRUE(blocker.ok());
-  latch.WaitStarted();
-  // Eight racing submitters against a depth-8 bound and a parked
-  // worker: nothing drains, so the shared depth counter must peak at
-  // exactly 8 — and the high-water mark is maintained by CAS-max on
-  // that counter, so the race cannot record a stale lower value.
-  std::vector<std::thread> submitters;
-  std::mutex tickets_mutex;
-  std::vector<Ticket<int>> tickets;
-  for (int s = 0; s < 8; ++s) {
-    submitters.emplace_back([&executor, &tickets_mutex, &tickets, s] {
-      const auto ticket = executor.TrySubmit<int>(
-          [s](WorkerContext&) -> Result<int> { return s; });
-      ASSERT_TRUE(ticket.ok());
-      std::lock_guard<std::mutex> lock(tickets_mutex);
-      tickets.push_back(*ticket);
-    });
-  }
-  for (std::thread& t : submitters) t.join();
-  EXPECT_EQ(executor.StatsReport().queue_high_water, 8);
-
-  latch.Release();
-  EXPECT_EQ(*executor.Wait(*blocker), -1);
-  for (const Ticket<int>& ticket : tickets) {
-    EXPECT_TRUE(executor.Wait(ticket).ok());
-  }
   EXPECT_EQ(executor.pending_tasks(), 0);
 }
 
