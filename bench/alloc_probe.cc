@@ -20,14 +20,6 @@ namespace {
 std::atomic<int64_t> alloc_count{0};
 }  // namespace
 
-bool AllocProbeAvailable() {
-#if defined(STREAMBID_ALLOC_PROBE_DISABLED)
-  return false;
-#else
-  return true;
-#endif
-}
-
 int64_t AllocCount() {
   return alloc_count.load(std::memory_order_relaxed);
 }

@@ -2,13 +2,11 @@
 // Process-wide heap-allocation counter for bench binaries.
 //
 // alloc_probe.cc replaces the global operator new/delete with counting
-// wrappers, so a bench can snapshot the count around a hot loop and
-// CHECK that the steady state allocated exactly zero times — turning
-// "allocation-free hot path" from a comment into an enforced property.
-// Link alloc_probe.cc ONLY into binaries that want the probe (it
-// replaces global operators binary-wide); under ASan/TSan the
-// replacement is disabled (the sanitizer owns malloc) and the probe
-// reports itself unavailable.
+// wrappers, so a bench can snapshot the count around a phase and report
+// heap allocations per unit of work. Link alloc_probe.cc ONLY into
+// binaries that want the probe (it replaces global operators
+// binary-wide); under ASan/TSan the replacement is disabled (the
+// sanitizer owns malloc) and the count stays 0.
 
 #ifndef STREAMBID_BENCH_ALLOC_PROBE_H_
 #define STREAMBID_BENCH_ALLOC_PROBE_H_
@@ -16,10 +14,6 @@
 #include <cstdint>
 
 namespace streambid::bench {
-
-/// True when the counting operator new is live in this binary (false
-/// under sanitizers, where the probe compiles to a stub).
-bool AllocProbeAvailable();
 
 /// Monotonic count of operator-new calls since process start (0 when
 /// the probe is unavailable).

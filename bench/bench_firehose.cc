@@ -13,22 +13,18 @@
 //     periods concurrently. CHECKs the gate's bounded-queue invariant
 //     (buffer high-water <= summed ticket capacity, per-period admits
 //     <= capacity) and that overload actually sheds. Reports sustained
-//     submissions/sec, shed fraction, p99 gate wait.
+//     submissions/sec, shed fraction, p99 gate wait, and whole-stack
+//     heap allocations per offer (submission construction and
+//     per-period report assembly included) as a trajectory metric.
 //  2. Probe trajectory: a closed-loop phase-shifted workload through
 //     the throughput probe; prints the epoch table and CHECKs bounds
 //     plus decision replay across a re-run.
 //  3. Replay identity: for a closed-loop workload that never exhausts
 //     tickets, gated per-period cluster reports are byte-identical to
 //     direct ClusterCenter::Submit at executor pool sizes 1/2/8.
-//  4. Executor allocation audit: a warmed 8-worker pool runs thousands
-//     of Submit→execute→Wait cycles under the counting operator new
-//     (alloc_probe.cc); CHECKs zero steady-state heap allocations on
-//     the executor hot path. The firehose run additionally reports its
-//     whole-stack allocations per offer (submission construction and
-//     per-period report assembly included) as a trajectory metric.
 //
 // Emits BENCH_firehose.json (sustained submissions/sec, shed fraction,
-// p99 gate wait, executor-audit numbers) — the perf-trajectory
+// p99 gate wait, allocations per offer) — the perf-trajectory
 // artifact CI uploads per PR.
 //
 // Usage: bench_firehose [--smoke]   (--smoke shrinks the workload for
@@ -43,9 +39,7 @@
 
 #include "bench/alloc_probe.h"
 #include "bench/bench_common.h"
-#include "cluster/task_executor.h"
 #include "common/check.h"
-#include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/timer.h"
@@ -369,69 +363,8 @@ void RunReplayExperiment(int periods) {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment 4: the executor allocation audit.
 
-struct ExecutorAuditResult {
-  double tasks_per_sec = 0.0;
-  int64_t heap_allocs = 0;
-};
-
-ExecutorAuditResult RunExecutorAuditExperiment(bool smoke) {
-  std::printf("\n== executor allocation audit (8 workers, counting "
-              "operator new) ==\n");
-  cluster::ExecutorOptions exec_options;
-  exec_options.num_threads = 8;
-  cluster::TaskExecutor executor(exec_options);
-  auto run_cycles = [&executor](int cycles) {
-    int64_t acc = 0;
-    for (int i = 0; i < cycles; ++i) {
-      const auto ticket = executor.Submit<int>(
-          [i](cluster::WorkerContext&) -> Result<int> { return i; });
-      STREAMBID_CHECK(ticket.ok());
-      const Result<int> result = executor.Wait(ticket.value());
-      STREAMBID_CHECK(result.ok());
-      acc += result.value();
-    }
-    return acc;
-  };
-  // Warm the queue ring and the ticket slots; the audited window must
-  // hit only recycled storage.
-  constexpr int kWarmup = 512;
-  run_cycles(kWarmup);
-  ExecutorAuditResult r;
-  const int audited = smoke ? 2000 : 20000;
-  const int64_t heap_before = bench::AllocCount();
-  const int64_t spills_before = InlineFunctionHeapFallbacks();
-  Timer audit_timer;
-  const int64_t acc = run_cycles(audited);
-  const double audit_seconds = audit_timer.ElapsedSeconds();
-  STREAMBID_CHECK_EQ(acc,
-                     static_cast<int64_t>(audited) * (audited - 1) / 2);
-  r.heap_allocs = bench::AllocCount() - heap_before;
-  r.tasks_per_sec = audited / audit_seconds;
-  const cluster::TaskExecutorStats pool = executor.StatsReport();
-  STREAMBID_CHECK_EQ(pool.submitted, kWarmup + audited);
-  STREAMBID_CHECK_EQ(pool.executed, pool.submitted);
-  std::printf("# %d submit→wait cycles, %.0f tasks/s, %lld heap "
-              "allocations, %lld inline-slot spills\n",
-              audited, r.tasks_per_sec,
-              static_cast<long long>(r.heap_allocs),
-              static_cast<long long>(InlineFunctionHeapFallbacks() -
-                                     spills_before));
-  // The headline CHECK: zero steady-state allocations on the
-  // Submit→execute→Wait path (skipped only where a sanitizer owns the
-  // allocator and the probe cannot hook it).
-  if (bench::AllocProbeAvailable()) {
-    STREAMBID_CHECK_EQ(r.heap_allocs, 0);
-  }
-  STREAMBID_CHECK_EQ(InlineFunctionHeapFallbacks() - spills_before, 0);
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-
-void WriteJsonArtifact(const FirehoseResult& r,
-                       const ExecutorAuditResult& audit) {
+void WriteJsonArtifact(const FirehoseResult& r) {
   const double shed_fraction =
       r.offered > 0 ? static_cast<double>(r.shed) / r.offered : 0.0;
   const double allocs_per_offer =
@@ -447,10 +380,7 @@ void WriteJsonArtifact(const FirehoseResult& r,
        {"periods", static_cast<double>(r.periods)},
        {"buffered_high_water", static_cast<double>(r.buffered_high_water)},
        {"elapsed_seconds", r.elapsed_seconds},
-       {"firehose_heap_allocs_per_offer", allocs_per_offer},
-       {"executor_audit_tasks_per_sec", audit.tasks_per_sec},
-       {"executor_audit_heap_allocs",
-        static_cast<double>(audit.heap_allocs)}});
+       {"firehose_heap_allocs_per_offer", allocs_per_offer}});
 }
 
 }  // namespace
@@ -466,7 +396,6 @@ int main(int argc, char** argv) {
   const FirehoseResult firehose = RunFirehoseExperiment(smoke);
   RunProbeExperiment(smoke ? 12 : 30);
   RunReplayExperiment(smoke ? 10 : 20);
-  const ExecutorAuditResult audit = RunExecutorAuditExperiment(smoke);
-  WriteJsonArtifact(firehose, audit);
+  WriteJsonArtifact(firehose);
   return 0;
 }

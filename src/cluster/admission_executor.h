@@ -6,14 +6,14 @@
 // (seed, request_index) RNG stream, a request's response is a pure
 // function of the request: it does not matter which worker runs it, in
 // what order, or how many workers exist. That is the contract that
-// makes the three surfaces below safe:
+// makes the two surfaces below safe:
 //
 //  - AdmitBatchParallel: blocking batch fanned across the pool via
 //    TaskExecutor::RunAll, responses positionally aligned and
 //    byte-identical to serial AdmissionService::AdmitBatch (timing
 //    fields excepted);
 //  - AdmitOn: run one auction on a worker's own service from inside a
-//    generic task — the hook the ClusterCenter's pipelined period
+//    RunAll task — the hook the ClusterCenter's per-shard period
 //    chains use so their admissions still land in these rolling stats.
 //
 // Admission-specific diagnostics are folded into per-mechanism rolling
@@ -72,8 +72,8 @@ struct ExecutorStats {
 };
 
 /// Thread-pool admission runtime, a facade over TaskExecutor.
-/// Thread-safe: any thread may submit batches concurrently. Instances
-/// referenced by in-flight requests must outlive their completion
+/// Thread-safe: any thread outside the pool may run batches
+/// concurrently. Instances referenced by a batch must outlive it
 /// (instances are immutable and may back many concurrent requests).
 class AdmissionExecutor {
  public:
@@ -84,9 +84,9 @@ class AdmissionExecutor {
 
   int num_threads() const { return tasks_.num_threads(); }
 
-  /// The generic task surface sharing this executor's pool — submit
-  /// arbitrary closures (period pipelines, prepare fan-outs) alongside
-  /// admissions.
+  /// The generic task surface sharing this executor's pool — fan out
+  /// arbitrary closures (the cluster's per-shard period chains) with
+  /// RunAll alongside admissions.
   TaskExecutor& tasks() { return tasks_; }
   const TaskExecutor& tasks() const { return tasks_; }
 
@@ -130,9 +130,8 @@ class AdmissionExecutor {
         GUARDED_BY(mutex);
   };
   /// Declared before tasks_ on purpose: members destroy in reverse
-  /// declaration order, and ~TaskExecutor joins the workers — which may
-  /// still be running AdmitOn closures that record into these shards.
-  /// The pool must die first, the stats it writes to last.
+  /// declaration order, so ~TaskExecutor joins the workers (which
+  /// record into these shards from AdmitOn) before the shards go.
   std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
   TaskExecutor tasks_;
 };

@@ -2,9 +2,6 @@
 
 #include "cluster/cluster_center.h"
 
-#include <algorithm>
-#include <limits>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -75,10 +72,6 @@ ClusterCenter::ClusterCenter(const ClusterOptions& options,
 }
 
 Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition(
-        "a period is in flight: EndPeriod before Submit");
-  }
   const auction::UserId user = submission.user;
   const int s = router_.Route(submission, statuses_, &overrides_);
   Shard& shard = shards_[static_cast<size_t>(s)];
@@ -93,7 +86,6 @@ Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
   STREAMBID_RETURN_IF_ERROR(shard.center->Submit(std::move(submission)));
   ShardStatus& status = statuses_[static_cast<size_t>(s)];
   status.pending_load += estimate.total_load;
-  ++status.pending_count;
   // The rebalancer's signal source: where this tenant lives and how
   // much demand it generated this period.
   TenantRecord& record = tenants_[user];
@@ -102,12 +94,8 @@ Result<int> ClusterCenter::Submit(stream::QuerySubmission submission) {
   return s;
 }
 
-Result<BatchSubmitOutcome> ClusterCenter::SubmitBatch(
+BatchSubmitOutcome ClusterCenter::SubmitBatch(
     std::vector<stream::QuerySubmission> batch) {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition(
-        "a period is in flight: EndPeriod before SubmitBatch");
-  }
   BatchSubmitOutcome outcome;
   for (stream::QuerySubmission& submission : batch) {
     const Result<int> shard = Submit(std::move(submission));
@@ -122,11 +110,12 @@ Result<BatchSubmitOutcome> ClusterCenter::SubmitBatch(
 }
 
 Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
-    int s, uint64_t epoch, WorkerContext& context) {
+    int s, WorkerContext& context) {
   cloud::DsmsCenter& center = *shards_[static_cast<size_t>(s)].center;
   // Logical span key: the shard's own period number, fixed before any
   // stage mutates center state.
   const int period = static_cast<int>(center.history().size());
+  const uint64_t epoch = period_epoch_;
   telemetry::PeriodTracer* tracer = options_.tracer;
   center.set_trace_epoch(epoch);
   // Stage 1: the autoscaled prepare (candidate grid + instance build)
@@ -155,73 +144,22 @@ Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
   return center.CompletePeriod(response);
 }
 
-Result<PendingPeriod> ClusterCenter::BeginPeriod() {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition("a period is already in flight");
-  }
-  PendingPeriod period;
-  period.timer.Start();
-  period.shard_tickets.reserve(shards_.size());
-  period.owner = this;
-  period.epoch = ++period_epoch_;
-  period_in_flight_ = true;
-  for (int s = 0; s < num_shards(); ++s) {
-    const Result<Ticket<cloud::PeriodReport>> ticket =
-        executor_.tasks().Submit<cloud::PeriodReport>(
-            [this, s, epoch = period.epoch](WorkerContext& context) {
-              return RunShardPeriod(s, epoch, context);
-            });
-    if (!ticket.ok()) {
-      // Submission can only fail on a shut-down executor; wait out the
-      // chains already in flight so no task outlives this call's view
-      // of the cluster, then surface the error.
-      for (const Ticket<cloud::PeriodReport> t : period.shard_tickets) {
-        (void)executor_.tasks().Wait(t);
-      }
-      period_in_flight_ = false;
-      return ticket.status();
-    }
-    period.shard_tickets.push_back(*ticket);
-  }
-  return period;
-}
-
-Result<ClusterPeriodReport> ClusterCenter::EndPeriod(
-    PendingPeriod& period) {
-  if (period.consumed) {
-    return Status::FailedPrecondition("period already ended");
-  }
-  if (!period_in_flight_) {
-    return Status::FailedPrecondition("no period is in flight");
-  }
-  // Identity check before any state changes: a stale copy of an earlier
-  // handle, a foreign cluster's handle, or a default-constructed one
-  // must not unfreeze the surface while the live period's chains are
-  // still running (nor strand the live handle's tickets).
-  if (period.owner != this || period.epoch != period_epoch_ ||
-      period.shard_tickets.size() != shards_.size()) {
-    return Status::FailedPrecondition(
-        "period handle does not match this cluster's in-flight period");
-  }
-  period.consumed = true;
-  std::vector<Result<cloud::PeriodReport>> completed;
-  completed.reserve(period.shard_tickets.size());
-  for (const Ticket<cloud::PeriodReport> ticket : period.shard_tickets) {
-    completed.push_back(executor_.tasks().Wait(ticket));
-  }
-  period_in_flight_ = false;
-  return MergeCompleted(std::move(completed), period.timer);
-}
-
 Result<ClusterPeriodReport> ClusterCenter::RunPeriod() {
-  STREAMBID_ASSIGN_OR_RETURN(PendingPeriod period, BeginPeriod());
-  return EndPeriod(period);
+  const Timer timer;
+  ++period_epoch_;
+  std::vector<TaskExecutor::Task<cloud::PeriodReport>> chains;
+  chains.reserve(shards_.size());
+  for (int s = 0; s < num_shards(); ++s) {
+    chains.push_back([this, s](WorkerContext& context) {
+      return RunShardPeriod(s, context);
+    });
+  }
+  STREAMBID_ASSIGN_OR_RETURN(std::vector<cloud::PeriodReport> completed,
+                             executor_.tasks().RunAll(std::move(chains)));
+  return MergeCompleted(std::move(completed), timer);
 }
 
 Result<ClusterPeriodReport> ClusterCenter::RunPeriodBarriered() {
-  if (period_in_flight_) {
-    return Status::FailedPrecondition("a period is already in flight");
-  }
   const int n = num_shards();
   Timer timer;
 
@@ -258,76 +196,36 @@ Result<ClusterPeriodReport> ClusterCenter::RunPeriodBarriered() {
   // history are private to it), so the fan-out cannot change any
   // per-shard outcome — and the pool caps the parallelism, so a
   // many-shard cluster does not oversubscribe the machine. ---
-  std::vector<Ticket<cloud::PeriodReport>> tickets;
-  tickets.reserve(static_cast<size_t>(n));
+  std::vector<TaskExecutor::Task<cloud::PeriodReport>> completions;
+  completions.reserve(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
     const service::AdmissionResponse* response =
         response_of[static_cast<size_t>(s)];
-    const Result<Ticket<cloud::PeriodReport>> ticket =
-        executor_.tasks().Submit<cloud::PeriodReport>(
-            [this, s, response](WorkerContext&) {
-              return shards_[static_cast<size_t>(s)]
-                  .center->CompletePeriod(response);
-            });
-    if (!ticket.ok()) {
-      for (const Ticket<cloud::PeriodReport> t : tickets) {
-        (void)executor_.tasks().Wait(t);
-      }
-      return ticket.status();
-    }
-    tickets.push_back(*ticket);
+    completions.push_back([this, s, response](WorkerContext&) {
+      return shards_[static_cast<size_t>(s)].center->CompletePeriod(
+          response);
+    });
   }
-  std::vector<Result<cloud::PeriodReport>> completed;
-  completed.reserve(static_cast<size_t>(n));
-  for (const Ticket<cloud::PeriodReport> ticket : tickets) {
-    completed.push_back(executor_.tasks().Wait(ticket));
-  }
+  STREAMBID_ASSIGN_OR_RETURN(
+      std::vector<cloud::PeriodReport> completed,
+      executor_.tasks().RunAll(std::move(completions)));
   return MergeCompleted(std::move(completed), timer);
 }
 
 Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
-    std::vector<Result<cloud::PeriodReport>> completed,
-    const Timer& timer) {
+    std::vector<cloud::PeriodReport> completed, const Timer& timer) {
   const int n = num_shards();
 
-  // --- Refresh the router's view for every shard that completed:
-  // pending demand was consumed, and the price-aware policy keys off
-  // this period's clearing. This runs before any failure surfaces so a
-  // partial failure does not leave stale pending-load bias on the
-  // surviving shards (a failed shard itself is unrecoverable — its
-  // engine may be mid-transition — matching DsmsCenter::RunPeriod
-  // error semantics). ---
-  Status first_error;
+  // --- Refresh the router's view: pending demand was consumed, and the
+  // engine keeps this period's provisioning until the next prepare
+  // phase re-decides, so it is the router's best view of the shard's
+  // next-period capacity. ---
   for (int s = 0; s < n; ++s) {
-    const Result<cloud::PeriodReport>& result =
-        completed[static_cast<size_t>(s)];
-    if (!result.ok()) {
-      if (first_error.ok()) first_error = result.status();
-      continue;
-    }
-    const cloud::PeriodReport& shard_report = *result;
     ShardStatus& status = statuses_[static_cast<size_t>(s)];
     status.pending_load = 0.0;
-    status.pending_count = 0;
-    // The engine keeps this period's provisioning until the next
-    // prepare phase re-decides, so it is the router's best view of the
-    // shard's next-period capacity.
-    status.next_capacity = shard_report.provisioned_capacity;
-    if (shard_report.submissions > 0) {
-      status.has_history = true;
-      // Admitting nobody means saturation, not free service: mark the
-      // clearing infinite so the price-aware policy repels traffic
-      // instead of funneling everything into the saturated shard.
-      status.last_clearing_price =
-          shard_report.admitted > 0
-              ? shard_report.revenue / shard_report.admitted
-              : std::numeric_limits<double>::infinity();
-      status.last_admission_rate =
-          static_cast<double>(shard_report.admitted) /
-          shard_report.submissions;
-    }
+    status.next_capacity =
+        completed[static_cast<size_t>(s)].provisioned_capacity;
   }
-  if (!first_error.ok()) return first_error;
 
   // --- Merge into the cluster view. Utilizations are weighted by each
   // shard's provisioned capacity: once the autoscalers diverge, a
@@ -339,10 +237,7 @@ Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
   report.shard_reports.reserve(static_cast<size_t>(n));
   double weighted_auction = 0.0;
   double weighted_measured = 0.0;
-  for (int s = 0; s < n; ++s) {
-    Result<cloud::PeriodReport>& result =
-        completed[static_cast<size_t>(s)];
-    const cloud::PeriodReport& shard_report = *result;
+  for (cloud::PeriodReport& shard_report : completed) {
     report.submissions += shard_report.submissions;
     report.admitted += shard_report.admitted;
     report.revenue += shard_report.revenue;
@@ -356,7 +251,7 @@ Result<ClusterPeriodReport> ClusterCenter::MergeCompleted(
         shard_report.measured_utilization / n;
     report.provisioned_capacity += shard_report.provisioned_capacity;
     report.energy_cost += shard_report.energy_cost;
-    report.shard_reports.push_back(std::move(result).value());
+    report.shard_reports.push_back(std::move(shard_report));
   }
   if (report.provisioned_capacity > 0.0) {
     report.auction_utilization =
@@ -407,111 +302,16 @@ Status ClusterCenter::RebalanceAfterPeriod() {
       history_.back().shard_reports, std::move(signals));
   if (plan.moves.empty()) return Status::Ok();
 
-  // Group the moves by shard so each phase touches a shard from at
-  // most one task — parallel tasks never share a center, and the
-  // ordered maps keep the fan-out (and thus the replay) deterministic.
-  std::map<int, std::vector<const TenantMove*>> by_source;
-  std::map<int, std::vector<const TenantMove*>> by_destination;
+  // Apply the moves in plan order on this thread. Every move goes from
+  // the hot shard to the cold one, and the period just consumed every
+  // pending queue, so each moved TenantState carries no pending
+  // submissions and the router's pending view needs no adjustment.
   for (const TenantMove& move : plan.moves) {
-    by_source[move.from].push_back(&move);
-    by_destination[move.to].push_back(&move);
-  }
-
-  // What one extraction task hands to the adoption phase; the load and
-  // count keep the router's pending view consistent when tenants
-  // migrate with submissions still queued (between periods both are
-  // normally zero — the period just consumed the queue).
-  struct Extracted {
-    std::vector<cloud::TenantState> states;
-    double pending_load = 0.0;
-    int pending_count = 0;
-  };
-
-  // --- Phase 1: extraction, one task per source shard. ---
-  std::vector<int> sources;
-  std::vector<TaskExecutor::Task<Extracted>> extract_tasks;
-  for (const auto& [from, source_moves] : by_source) {
-    sources.push_back(from);
-    extract_tasks.push_back(
-        [this, from,
-         moves = source_moves](WorkerContext&) -> Result<Extracted> {
-          Shard& shard = shards_[static_cast<size_t>(from)];
-          Extracted extracted;
-          for (const TenantMove* move : moves) {
-            cloud::TenantState state =
-                shard.center->ExtractTenant(move->user);
-            for (const stream::QuerySubmission& sub : state.pending) {
-              STREAMBID_ASSIGN_OR_RETURN(
-                  const stream::PlanLoadEstimate estimate,
-                  stream::EstimatePlanLoad(*shard.engine, sub.plan,
-                                           options_.load_options));
-              extracted.pending_load += estimate.total_load;
-              ++extracted.pending_count;
-            }
-            extracted.states.push_back(std::move(state));
-          }
-          return extracted;
-        });
-  }
-  STREAMBID_ASSIGN_OR_RETURN(
-      std::vector<Extracted> extracted_per_source,
-      executor_.tasks().RunAll(std::move(extract_tasks)));
-
-  // Reassemble per destination on the caller's thread.
-  std::unordered_map<auction::UserId, cloud::TenantState> state_of;
-  for (size_t k = 0; k < sources.size(); ++k) {
-    Extracted& extracted = extracted_per_source[k];
-    ShardStatus& status = statuses_[static_cast<size_t>(sources[k])];
-    status.pending_load =
-        std::max(0.0, status.pending_load - extracted.pending_load);
-    status.pending_count =
-        std::max(0, status.pending_count - extracted.pending_count);
-    for (cloud::TenantState& state : extracted.states) {
-      state_of[state.user] = std::move(state);
-    }
-  }
-
-  // --- Phase 2: adoption, one task per destination shard. ---
-  struct Adopted {
-    double pending_load = 0.0;
-    int pending_count = 0;
-  };
-  std::vector<int> destinations;
-  std::vector<TaskExecutor::Task<Adopted>> adopt_tasks;
-  for (const auto& [to, moves] : by_destination) {
-    // Tasks are std::functions (copyable), so the batch travels behind
-    // a shared_ptr rather than by move-capture.
-    auto batch = std::make_shared<std::vector<cloud::TenantState>>();
-    for (const TenantMove* move : moves) {
-      batch->push_back(std::move(state_of[move->user]));
-    }
-    destinations.push_back(to);
-    adopt_tasks.push_back(
-        [this, to, batch](WorkerContext&) -> Result<Adopted> {
-          Shard& shard = shards_[static_cast<size_t>(to)];
-          Adopted adopted;
-          for (cloud::TenantState& state : *batch) {
-            for (const stream::QuerySubmission& sub : state.pending) {
-              STREAMBID_ASSIGN_OR_RETURN(
-                  const stream::PlanLoadEstimate estimate,
-                  stream::EstimatePlanLoad(*shard.engine, sub.plan,
-                                           options_.load_options));
-              adopted.pending_load += estimate.total_load;
-              ++adopted.pending_count;
-            }
-            STREAMBID_RETURN_IF_ERROR(shard.center->AdoptTenant(state));
-          }
-          return adopted;
-        });
-  }
-  STREAMBID_ASSIGN_OR_RETURN(
-      std::vector<Adopted> adopted_per_destination,
-      executor_.tasks().RunAll(std::move(adopt_tasks)));
-  for (size_t k = 0; k < destinations.size(); ++k) {
-    ShardStatus& status =
-        statuses_[static_cast<size_t>(destinations[k])];
-    status.pending_load += adopted_per_destination[k].pending_load;
-    status.pending_count += adopted_per_destination[k].pending_count;
+    cloud::TenantState state =
+        shards_[static_cast<size_t>(move.from)].center->ExtractTenant(
+            move.user);
+    STREAMBID_RETURN_IF_ERROR(
+        shards_[static_cast<size_t>(move.to)].center->AdoptTenant(state));
   }
 
   // --- Commit the placement: pin the tenants to their new homes. ---

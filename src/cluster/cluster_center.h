@@ -4,12 +4,12 @@
 // stage — autoscaled prepare, admission, completion — running on the
 // executor's persistent worker pool (one FIFO queue that every worker
 // drains) and the per-shard PeriodReports merged into a
-// ClusterPeriodReport. This is the ROADMAP "sharded
-// multi-center" item plus the "period pipelining" item: no per-period
-// threads are ever spawned, and shards flow through their stages
-// independently instead of barriering between phases.
+// ClusterPeriodReport. No per-period threads are ever spawned, and
+// shards flow through their stages independently instead of barriering
+// between phases.
 //
-// A period is one dependency chain per shard, submitted to the pool:
+// A period is one dependency chain per shard, handed to the pool as one
+// blocking TaskExecutor::RunAll fan-out:
 //
 //   shard k:  PrepareAuction ──▶ Admit (worker service) ──▶ CompletePeriod
 //             (autoscaler grid)                             (transition +
@@ -22,19 +22,16 @@
 // carry the auction RNG — so the pipelined report is byte-identical to
 // the barriered reference (RunPeriodBarriered) at every pool size.
 //
-// The period tail (shared by every variant) is itself staged: the
-// router's per-shard view refreshes, the shard reports merge, and —
+// The period tail (shared by both variants) runs on the calling thread:
+// the router's per-shard view refreshes, the shard reports merge, and —
 // when ClusterOptions::rebalance is enabled — a ShardRebalancer plans
-// inter-period tenant migrations from the refreshed signals and the
-// migrations fan out on the same pool (extraction tasks per source
-// shard, then adoption tasks per destination shard; each shard is
-// touched by at most one task per phase). The plan is a pure function
-// of (history, seed), so the replay contract survives rebalancing.
+// inter-period tenant migrations from the refreshed signals and applies
+// them in plan order (extract from the source shard, adopt into the
+// destination). The plan is a pure function of (history, seed), so the
+// replay contract survives rebalancing.
 //
-// Surfaces: RunPeriod() runs one pipelined period synchronously;
-// BeginPeriod()/EndPeriod() split it so a caller can overlap the
-// period's execution with its own work (but not with Submit — see
-// BeginPeriod); RunPeriodBarriered() keeps the lock-step reference
+// Surfaces: RunPeriod() runs one pipelined period and returns when it
+// is merged; RunPeriodBarriered() keeps the lock-step reference
 // implementation (serial prepare, one parallel admission batch, pooled
 // completion) for identity tests and the pipelining bench.
 
@@ -99,17 +96,17 @@ struct ClusterOptions {
   cloud::AutoscalerOptions autoscale;
   /// Inter-period tenant migration (see ShardRebalancer). When enabled,
   /// each period tail plans a bounded migration from the hottest shard
-  /// to the coldest one, moves the tenants' center-resident state on
-  /// the executor pool, and pins the moved tenants to their new home
-  /// via routing overrides. Plans are pure functions of (history,
-  /// rebalance.seed): replay is unchanged at every pool size.
+  /// to the coldest one, moves the tenants' center-resident state, and
+  /// pins the moved tenants to their new home via routing overrides.
+  /// Plans are pure functions of (history, rebalance.seed): replay is
+  /// unchanged at every pool size.
   ///
   /// Meant for stable placements (kHashUser, or tenants already
   /// pinned): the per-tenant demand signal attributes a tenant's whole
   /// period load to the shard its LAST submission routed to, so under
-  /// kLeastLoaded/kPriceAware — where one tenant's submissions can
-  /// spread over several shards within a period — the pressure signal
-  /// is approximate until a migration pins the tenant (after which its
+  /// kLeastLoaded — where one tenant's submissions can spread over
+  /// several shards within a period — the pressure signal is
+  /// approximate until a migration pins the tenant (after which its
   /// traffic, and therefore its signal, is exact again).
   RebalancerOptions rebalance;
   /// Optional telemetry sink, fanned through every layer the cluster
@@ -146,7 +143,7 @@ struct ClusterPeriodReport {
   double provisioned_capacity = 0.0;
   /// Summed per-shard energy cost under the configured EnergyModel.
   double energy_cost = 0.0;
-  /// Wall clock of the whole cluster period (BeginPeriod through the
+  /// Wall clock of the whole cluster period (the fan-out through the
   /// merge, or all three barriered phases).
   double elapsed_ms = 0.0;
   /// Indexed by shard; each report carries its mechanism name.
@@ -165,26 +162,10 @@ struct BatchSubmitOutcome {
   Status first_error = Status::Ok();
 };
 
-/// Handle for an in-flight pipelined period issued by BeginPeriod and
-/// consumed (exactly once) by EndPeriod. Identity-tagged: EndPeriod
-/// only accepts the handle of ITS cluster's CURRENT in-flight period —
-/// stale copies, foreign clusters' handles, and default-constructed
-/// ones are all rejected with kFailedPrecondition.
-struct PendingPeriod {
-  /// One chain ticket per shard, indexed by shard.
-  std::vector<Ticket<cloud::PeriodReport>> shard_tickets;
-  Timer timer;  ///< Started at BeginPeriod; read at the merge.
-  bool consumed = false;
-  /// Issuing cluster and its period epoch at issue time; checked by
-  /// EndPeriod before any state changes.
-  const void* owner = nullptr;
-  uint64_t epoch = 0;
-};
-
 /// N admission-controlled centers behind one router and one executor.
 /// Not thread-safe at the surface (one caller drives submissions and
-/// periods); internally every period stage fans out on the executor's
-/// persistent pool — no other threads are ever created.
+/// periods); internally each period's shard chains fan out on the
+/// executor's persistent pool — no other threads are ever created.
 class ClusterCenter {
  public:
   /// Applied to every shard engine at construction (register sources,
@@ -201,8 +182,6 @@ class ClusterCenter {
   /// Routes the submission to a shard and queues it there for the next
   /// period. Returns the shard index. Routing happens before admission:
   /// a submission rejected by its shard's auction is not re-routed.
-  /// kFailedPrecondition while a period is in flight (shard state is on
-  /// the workers' side of the fence until EndPeriod).
   Result<int> Submit(stream::QuerySubmission submission);
 
   /// Moves a drained gate batch into the shard queues, in batch order —
@@ -211,26 +190,15 @@ class ClusterCenter {
   /// to the loop), but per-item errors are folded into the outcome
   /// instead of aborting: the batch was already granted tickets, and a
   /// routed-but-refused submission must be accounted, not lose its
-  /// successors. kFailedPrecondition (whole batch) while a period is in
-  /// flight.
-  Result<BatchSubmitOutcome> SubmitBatch(
-      std::vector<stream::QuerySubmission> batch);
+  /// successors.
+  BatchSubmitOutcome SubmitBatch(std::vector<stream::QuerySubmission> batch);
 
-  /// Runs one pipelined period (BeginPeriod + EndPeriod) and merges the
-  /// shard reports.
+  /// Runs every shard's period chain (prepare -> admit -> complete) as
+  /// one executor fan-out and blocks until all finish; then refreshes
+  /// the router's view, merges the shard reports, appends to history(),
+  /// and runs the rebalance stage. A failed chain surfaces as the
+  /// lowest-shard-index error.
   Result<ClusterPeriodReport> RunPeriod();
-
-  /// Submits every shard's period chain (prepare -> admit -> complete)
-  /// to the executor pool and returns immediately. Until EndPeriod
-  /// consumes the handle, the cluster surface is frozen: Submit and
-  /// further Begin/Run calls fail with kFailedPrecondition. The caller
-  /// may do unrelated work — or drive other executors — in between.
-  Result<PendingPeriod> BeginPeriod();
-
-  /// Waits for every shard chain, refreshes the router's view, merges
-  /// the shard reports, and appends to history(). Consumes the handle:
-  /// a second EndPeriod on the same PendingPeriod is kFailedPrecondition.
-  Result<ClusterPeriodReport> EndPeriod(PendingPeriod& period);
 
   /// The lock-step reference implementation the pipelined path is
   /// byte-compared against: serial prepare over all shards, one
@@ -265,8 +233,9 @@ class ClusterCenter {
     return overrides_;
   }
   const ShardRebalancer& rebalancer() const { return rebalancer_; }
-  /// Epoch of the most recently begun period (0 before the first).
-  /// The gate layer stamps its drain spans with this after RunPeriod.
+  /// Number of RunPeriod calls so far (0 before the first); trace spans
+  /// carry it as the period epoch. The gate layer stamps its drain
+  /// spans with this after RunPeriod.
   uint64_t period_epoch() const { return period_epoch_; }
 
  private:
@@ -278,24 +247,19 @@ class ClusterCenter {
   /// Shard s's whole period, run as one task on a pool worker: the
   /// autoscaled prepare, the auction on the worker's own service (via
   /// AdmitOn, so it lands in the rolling stats), and the completion.
-  /// Touches only shard-local state plus the worker context. `epoch` is
-  /// the issuing BeginPeriod's epoch, captured into the task so trace
-  /// spans carry the logical key without reading mutable cluster state.
-  Result<cloud::PeriodReport> RunShardPeriod(int s, uint64_t epoch,
-                                             WorkerContext& context);
-  /// The serial tail every period variant shares: refresh the router's
-  /// per-shard view, surface the lowest-shard-index error, merge the
-  /// reports, append to history, and run the rebalance stage.
-  /// `completed` is indexed by shard.
+  /// Touches only shard-local state plus the worker context; reads
+  /// period_epoch_, which the blocked RunPeriod caller does not change.
+  Result<cloud::PeriodReport> RunShardPeriod(int s, WorkerContext& context);
+  /// The serial tail both period variants share: refresh the router's
+  /// per-shard view, merge the reports, append to history, and run the
+  /// rebalance stage. `completed` is indexed by shard.
   Result<ClusterPeriodReport> MergeCompleted(
-      std::vector<Result<cloud::PeriodReport>> completed,
-      const Timer& timer);
+      std::vector<cloud::PeriodReport> completed, const Timer& timer);
   /// The rebalance stage of the period tail: fold the period's tenant
-  /// activity into the signals, plan, and apply the migrations on the
-  /// executor pool (extract per source shard, adopt per destination
-  /// shard). No-op when rebalancing is disabled or the plan is empty.
-  /// A failed adoption surfaces here and — like a failed shard — leaves
-  /// the cluster unrecoverable mid-migration.
+  /// activity into the signals, plan, and apply the migrations serially
+  /// in plan order. No-op when rebalancing is disabled or the plan is
+  /// empty. A failed adoption surfaces here and — like a failed shard —
+  /// leaves the cluster unrecoverable mid-migration.
   Status RebalanceAfterPeriod();
 
   /// Submit-time view of one tenant, the rebalancer's signal source.
@@ -316,18 +280,13 @@ class ClusterCenter {
   std::unordered_map<auction::UserId, TenantRecord> tenants_;
   PlacementOverrides overrides_;
   std::vector<MigrationPlan> migrations_;
-  bool period_in_flight_ = false;
-  /// Bumped by every BeginPeriod; the live PendingPeriod carries the
-  /// current value, so stale handle copies cannot end a later period.
+  /// Bumped once by every RunPeriod.
   uint64_t period_epoch_ = 0;
   /// Cluster-level telemetry instruments; null without options.metrics.
   telemetry::Counter* periods_metric_ = nullptr;
   telemetry::Counter* migrated_tenants_metric_ = nullptr;
-  /// Declared last on purpose: members destroy in reverse declaration
-  /// order, and ~TaskExecutor (inside the facade) joins workers that
-  /// may still be running a shard's period chain — the pool must die
-  /// before the shards the chains dereference. This is what makes
-  /// dropping a PendingPeriod without EndPeriod safe.
+  /// Declared last: members destroy in reverse declaration order, so the
+  /// pool's workers are joined before the shards they run against.
   AdmissionExecutor executor_;
 };
 

@@ -4,10 +4,10 @@
 // that one center sees all competing queries; a static hash placement
 // breaks that — a hot shard rejects bidders (revenue on the floor)
 // while a cold shard idles. The ShardRebalancer closes the gap: between
-// periods it reads the router-visible ShardStatus signals (pending
-// load, clearing price, admission rate, next_capacity) plus the latest
-// per-shard PeriodReports and emits a bounded migration plan that moves
-// tenants from the most pressured shard to the least pressured one.
+// periods it reads each shard's router-visible next_capacity, the
+// latest per-shard PeriodReports, and the per-tenant demand signals,
+// and emits a bounded migration plan that moves tenants from the most
+// pressured shard to the least pressured one.
 //
 // Determinism contract: Plan() is a pure function of its inputs and
 // the construction-time (options, seed). It never reads a clock, an

@@ -2,20 +2,12 @@
 
 #include "cluster/shard_router.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace streambid::cluster {
 
 namespace {
-
-/// Clearing prices are revenue / admitted: the same allocation computed
-/// on different platforms (or through a different summation order) can
-/// differ in the last bits, and an exact == tie-break would flip the
-/// routed shard on that noise.
-constexpr double kPriceRelativeTolerance = 1e-9;
 
 /// Pending load relative to the shard's next-period capacity. A shard
 /// whose owner tracks no provisioning compares at capacity 1 — with a
@@ -34,8 +26,6 @@ const char* RoutingPolicyName(RoutingPolicy policy) {
       return "hash";
     case RoutingPolicy::kLeastLoaded:
       return "least-loaded";
-    case RoutingPolicy::kPriceAware:
-      return "price-aware";
   }
   return "unknown";
 }
@@ -50,14 +40,6 @@ uint64_t ShardRouter::HashUser(auction::UserId user) {
   // evenly over shards.
   return Mix64(static_cast<uint64_t>(static_cast<int64_t>(user)) +
                0x9E3779B97F4A7C15ull);
-}
-
-bool ShardRouter::PricesTie(double a, double b) {
-  if (std::isinf(a) || std::isinf(b)) {
-    return std::isinf(a) && std::isinf(b);
-  }
-  return std::abs(a - b) <=
-         kPriceRelativeTolerance * std::max(std::abs(a), std::abs(b));
 }
 
 int ShardRouter::ProbeFrom(int home,
@@ -106,45 +88,6 @@ int ShardRouter::Route(const stream::QuerySubmission& submission,
         // Strict <: ties stay on the lowest index (deterministic).
         if (best < 0 || RelativeLoad(shards[static_cast<size_t>(s)]) <
                             RelativeLoad(shards[static_cast<size_t>(best)])) {
-          best = s;
-        }
-      }
-      return best >= 0 ? best : RouteHash(submission, shards);
-    }
-
-    case RoutingPolicy::kPriceAware: {
-      // No eligible shard has run a period yet: nothing to compare
-      // prices on, so place by the stable hash instead.
-      bool any_history = false;
-      for (const ShardStatus& status : shards) {
-        any_history =
-            any_history || (Eligible(status) && status.has_history);
-      }
-      if (!any_history) return RouteHash(submission, shards);
-
-      // A shard without history is optimistically price 0 / rate 1, so
-      // unexplored capacity attracts traffic until it clears a period —
-      // otherwise a shard the hash never seeded could stay dead weight
-      // forever. Ties go to the lowest index.
-      const auto price = [](const ShardStatus& s) {
-        return s.has_history ? s.last_clearing_price : 0.0;
-      };
-      const auto rate = [](const ShardStatus& s) {
-        return s.has_history ? s.last_admission_rate : 1.0;
-      };
-      int best = -1;
-      for (int s = 0; s < num_shards_; ++s) {
-        const ShardStatus& status = shards[static_cast<size_t>(s)];
-        if (!Eligible(status)) continue;
-        if (best < 0) {
-          best = s;
-          continue;
-        }
-        const ShardStatus& incumbent =
-            shards[static_cast<size_t>(best)];
-        if (PricesTie(price(status), price(incumbent))
-                ? rate(status) > rate(incumbent)
-                : price(status) < price(incumbent)) {
           best = s;
         }
       }

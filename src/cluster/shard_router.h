@@ -1,23 +1,14 @@
 // Copyright 2026 The streambid Authors
 // Routing of query submissions across the shards of a multi-center
 // deployment. The router is a pure policy: it sees one submission plus a
-// status snapshot per shard (pending load, last period's outcome) and
-// picks a shard index. Three policies, per the sharded-multi-center
-// ROADMAP item:
+// status snapshot per shard (pending load, next-period capacity) and
+// picks a shard index. Two policies:
 //
 //  - hash(user): stable user -> shard assignment, oblivious to load;
 //  - least-loaded: the shard with the lowest pending auction load
 //    relative to its next-period capacity (ties to the lowest index),
 //    balancing the next auction's demand — a half-drained autoscaled
-//    shard must not look as roomy as a fully provisioned one;
-//  - price-aware: the shard whose last period cleared cheapest — the
-//    lowest mean winner payment, ties broken by higher admission rate —
-//    i.e. where a marginal bidder most likely wins. Prices tie under a
-//    relative tolerance (clearing prices are revenue / admitted, and
-//    bit-level noise in that division must not flip routing across
-//    platforms). Shards without history are explored optimistically
-//    (price 0, rate 1) so unused capacity attracts traffic; until any
-//    shard has history at all, routing falls back to hash(user).
+//    shard must not look as roomy as a fully provisioned one.
 //
 // All policies respect placement overrides first: the rebalancer pins a
 // migrated tenant to its new home, and routing must follow the current
@@ -40,25 +31,16 @@ namespace streambid::cluster {
 enum class RoutingPolicy {
   kHashUser,
   kLeastLoaded,
-  kPriceAware,
 };
 
-/// Stable lowercase name ("hash", "least-loaded", "price-aware").
+/// Stable lowercase name ("hash", "least-loaded").
 const char* RoutingPolicyName(RoutingPolicy policy);
 
 /// What the router knows about one shard when routing. Maintained by the
-/// ClusterCenter: pending_* reset at each period boundary, the last_*
-/// fields refresh from the shard's PeriodReport.
+/// ClusterCenter: pending_load resets at each period boundary, and
+/// next_capacity refreshes from the shard's PeriodReport.
 struct ShardStatus {
   double pending_load = 0.0;  ///< Estimated load of pending submissions.
-  int pending_count = 0;
-  bool has_history = false;   ///< Completed at least one auction period.
-  /// Mean payment per admitted query last period. 0 means everyone won
-  /// for free (the cheapest clearing); +infinity marks a saturated
-  /// period that admitted nobody — saturation must repel traffic, not
-  /// read as free service.
-  double last_clearing_price = 0.0;
-  double last_admission_rate = 0.0;  ///< admitted / submitted last period.
   /// Capacity the shard is provisioned at for the next period (the
   /// autoscaler's latest decision, refreshed by the ClusterCenter at
   /// each period close; nullopt when the owner does not track
@@ -103,12 +85,6 @@ class ShardRouter {
   /// The stable user hash (SplitMix64 finalizer) behind kHashUser —
   /// exposed so tests and rebalancing tooling can predict placements.
   static uint64_t HashUser(auction::UserId user);
-
-  /// Relative tolerance under which two clearing prices tie (the
-  /// price-aware tie-break then falls to admission rate). Two infinite
-  /// prices (saturated shards) always tie; an infinite price never
-  /// ties a finite one.
-  static bool PricesTie(double a, double b);
 
  private:
   /// Stable hash placement probing past drained shards.

@@ -8,37 +8,27 @@
 // (auction preparation, engine execution, billing) share the same pool
 // instead of spawning ad-hoc threads.
 //
-// Scheduling: one FIFO queue under one mutex, drained by every worker;
-// a work-available condvar parks idle workers and a completion condvar
-// wakes Wait()ers and RunAll callers. A period carries one task chain
-// per shard, so the queue is a handful of items deep and one lock is
-// not the bottleneck. Nothing on the Submit→execute→Wait path
-// allocates in steady state: tasks travel in InlineFunction slots
-// inside a recycled ring, and results in recycled ticket slots.
+// The one entry point is RunAll: a blocking batch fan-out. The caller
+// queues one {batch, index} item per task and sleeps until every item
+// has run; each worker pops items from one FIFO queue under one mutex
+// and writes the typed result into the calling batch's own vector. A
+// period carries one task per shard, so the queue is a handful of
+// items deep and one lock is not the bottleneck.
 //
 // Determinism contract: the executor adds none of its own randomness to
 // results. A task's result is whatever the closure computes; closures
 // that are pure functions of their captures (the admission requests'
 // per-request RNG streams, a shard's private state) produce identical
 // results at every pool size and interleaving. That is what lets the
-// ClusterCenter pipeline whole periods through this pool and still
-// replay byte-identically.
+// ClusterCenter run whole periods through this pool and still replay
+// byte-identically.
 //
-// Surfaces:
-//  - Submit -> Ticket<T>, Wait(Ticket<T>): async submission with typed
-//    completion handles. Tickets are issued once and consumed once;
-//    errors inside the closure come back as the ticket's Result<T>.
-//  - RunAll: blocking batch fan-out, results positionally aligned; the
-//    lowest-index failure is returned (all tasks still run).
-//  - StatsReport(): per-worker task counts and the queue-depth
-//    high-water mark.
-// Destruction discards queued work (running tasks finish) and fails
-// every unconsumed ticket with kFailedPrecondition.
+// StatsReport() exposes per-worker task counts and the queue-depth
+// high-water mark.
 
 #ifndef STREAMBID_CLUSTER_TASK_EXECUTOR_H_
 #define STREAMBID_CLUSTER_TASK_EXECUTOR_H_
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/inline_function.h"
 #include "common/lock_order.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -75,14 +64,6 @@ struct ExecutorOptions {
   telemetry::MetricsRegistry* metrics = nullptr;
 };
 
-/// Typed completion handle. Tickets are issued once and consumed once:
-/// a successful Wait removes the result, and the T parameter binds the
-/// handle to its task's result type at compile time.
-template <typename T>
-struct Ticket {
-  uint64_t id = 0;
-};
-
 /// Worker-local state handed to every task. The service is owned by the
 /// worker (one per thread, never shared), so tasks may run admission
 /// auctions on it without synchronization — but must not stash the
@@ -94,7 +75,7 @@ struct WorkerContext {
 
 /// Snapshot returned by TaskExecutor::StatsReport().
 struct TaskExecutorStats {
-  /// Tasks accepted into the queue (async submissions + batch items).
+  /// Tasks queued by RunAll calls.
   int64_t submitted = 0;
   /// Tasks a worker finished executing (sum of tasks_per_worker).
   int64_t executed = 0;
@@ -109,26 +90,22 @@ struct TaskExecutorStats {
   std::vector<int64_t> tasks_per_worker;
 };
 
-/// Thread-pool task runtime. Thread-safe: any thread may submit tasks
-/// and wait on tickets concurrently. Tasks may submit further tasks,
-/// but must never Wait() on a ticket of the same executor — with every
-/// worker so blocked, nothing drains the queue. Destruction must
-/// happen-after every concurrent Submit/Wait/RunAll call has returned.
+/// Thread-pool task runtime. Thread-safe: any number of threads outside
+/// the pool may call RunAll concurrently. A task must never call RunAll
+/// on its own executor — with every worker so blocked, nothing drains
+/// the queue. Destruction must happen-after every RunAll call has
+/// returned.
 class TaskExecutor {
  public:
   /// A unit of work: runs on some worker, sees that worker's context,
-  /// reports success or failure through Result<T>. T must be movable
-  /// and copy-constructible (results travel through the type-erased
-  /// completion slot). Deliberately a copyable std::function — callers
-  /// build task vectors they reuse; the executor re-wraps it into its
-  /// own move-only inline slot at submission.
+  /// reports success or failure through Result<T>. T must be
+  /// copy-constructible.
   template <typename T>
   using Task = std::function<Result<T>(WorkerContext&)>;
 
   explicit TaskExecutor(const ExecutorOptions& options = {});
-  /// Discards queued work (running tasks finish) and completes every
-  /// unconsumed ticket with kFailedPrecondition so a straggling Wait
-  /// unblocks.
+  /// Joins the workers. No RunAll is in flight (see the class comment),
+  /// so the queue is empty.
   ~TaskExecutor();
 
   TaskExecutor(const TaskExecutor&) = delete;
@@ -149,121 +126,70 @@ class TaskExecutor {
     return *services_[static_cast<size_t>(worker_id)];
   }
 
-  /// Queues `task`; the returned ticket completes on some worker.
-  /// kFailedPrecondition once destruction has begun.
-  template <typename T>
-  Result<Ticket<T>> Submit(Task<T> task) {
-    STREAMBID_ASSIGN_OR_RETURN(const uint64_t id,
-                               SubmitErased(Erase<T>(std::move(task))));
-    return Ticket<T>{id};
-  }
-
-  /// Blocks until the ticket completes and returns its result, removing
-  /// it. kNotFound for never-issued or already-consumed tickets — also
-  /// when the consumed ticket's slot has since been recycled for a
-  /// later task. Never hangs across destruction (pending tickets error
-  /// out).
-  template <typename T>
-  Result<T> Wait(Ticket<T> ticket) {
-    return Unerase<T>(WaitErased(ticket.id));
-  }
-
   /// Runs every task and blocks until all finish; results are
   /// positionally aligned with the tasks. All tasks run even when some
   /// fail; the lowest-index failure is returned. Must be called from
   /// outside the pool.
   template <typename T>
   Result<std::vector<T>> RunAll(std::vector<Task<T>> tasks) {
-    std::vector<ErasedTask> erased;
-    erased.reserve(tasks.size());
-    for (Task<T>& task : tasks) {
-      erased.push_back(Erase<T>(std::move(task)));
-    }
-    STREAMBID_ASSIGN_OR_RETURN(std::vector<ErasedResult> results,
-                               RunAllErased(std::move(erased)));
+    TypedBatch<T> batch(tasks);
+    RunBatch(batch, tasks.size());
     std::vector<T> out;
-    out.reserve(results.size());
-    for (ErasedResult& result : results) {
-      STREAMBID_ASSIGN_OR_RETURN(T value, Unerase<T>(std::move(result)));
-      out.push_back(std::move(value));
+    out.reserve(tasks.size());
+    for (Result<T>& result : batch.results) {
+      if (!result.ok()) return result.status();
+      out.push_back(std::move(result).value());
     }
     return out;
   }
-
-  /// Outstanding (submitted, not yet consumed) tickets.
-  int pending_tasks() const;
 
   /// Copies the runtime counters accumulated so far.
   TaskExecutorStats StatsReport() const;
 
  private:
-  using ErasedResult = Result<std::any>;
-  /// The queue-resident task slot: move-only, small-buffer-optimized.
-  /// The Erase<T> wrapper (one captured std::function) always fits
-  /// inline, so queuing a task never heap-allocates.
-  using ErasedTask = InlineFunction<ErasedResult(WorkerContext&), 64>;
+  /// The state one RunAll call shares with the workers, owned by the
+  /// calling thread's stack frame. Each worker writes only its own
+  /// item's result, outside mutex_; `remaining` is read and written
+  /// only under mutex_.
+  class Batch {
+   public:
+    Batch() = default;
+    virtual ~Batch() = default;
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+    /// Runs item `index`, stores its result, and reports success.
+    virtual bool Run(size_t index, WorkerContext& context) = 0;
 
-  /// Shared state of one RunAll call, owned by the calling thread's
-  /// stack frame; workers write into it under mutex_.
-  struct BatchJob {
-    std::vector<ErasedResult> results;
     size_t remaining = 0;
   };
-  /// One queued unit: an async ticket or one index of a batch job.
-  struct WorkItem {
-    ErasedTask task;
-    uint64_t ticket = 0;      ///< Valid when job == nullptr.
-    BatchJob* job = nullptr;  ///< Valid for batch items.
-    size_t index = 0;         ///< Position within the batch.
-  };
-  /// One ticket's completion slot. A ticket id is
-  /// (generation << 32) | (slot index + 1); consuming the slot bumps its
-  /// generation, so a stale id never matches the slot's next occupant.
-  struct TicketSlot {
-    enum class State { kFree, kPending, kReady };
-    State state = State::kFree;
-    uint32_t generation = 0;
-    ErasedResult result = std::any();
-  };
-
-  /// Wraps a typed task so the queue can hold it: the value travels as
-  /// std::any, the error as the task's own Status.
   template <typename T>
-  static ErasedTask Erase(Task<T> task) {
-    return [task = std::move(task)](WorkerContext& context) -> ErasedResult {
-      Result<T> result = task(context);
-      if (!result.ok()) return result.status();
-      return std::any(std::move(result).value());
-    };
-  }
-
-  /// Recovers the typed result. Submit<T> mints every Ticket<T>, so the
-  /// cast matches unless a ticket id is forged across types, which is
-  /// reported as kInternal rather than thrown.
-  template <typename T>
-  static Result<T> Unerase(ErasedResult erased) {
-    if (!erased.ok()) return erased.status();
-    std::any value = std::move(erased).value();
-    T* typed = std::any_cast<T>(&value);
-    if (typed == nullptr) {
-      return Status::Internal("ticket result type mismatch");
+  class TypedBatch final : public Batch {
+   public:
+    explicit TypedBatch(std::vector<Task<T>>& tasks)
+        : results(tasks.size(), Status::Internal("not run")),
+          tasks_(tasks) {}
+    bool Run(size_t index, WorkerContext& context) override {
+      results[index] = tasks_[index](context);
+      return results[index].ok();
     }
-    return std::move(*typed);
-  }
 
-  Result<uint64_t> SubmitErased(ErasedTask task);
-  ErasedResult WaitErased(uint64_t ticket);
-  Result<std::vector<ErasedResult>> RunAllErased(
-      std::vector<ErasedTask> tasks);
+    std::vector<Result<T>> results;
+
+   private:
+    std::vector<Task<T>>& tasks_;
+  };
+  /// One queued unit: item `index` of `batch`.
+  struct WorkItem {
+    Batch* batch = nullptr;
+    size_t index = 0;
+  };
+
+  /// Queues `size` items of `batch` and blocks until all have run.
+  void RunBatch(Batch& batch, size_t size);
   void WorkerLoop(int worker_id);
   /// Appends to the ring (growing it when full) and updates the queue
   /// counters.
   void PushLocked(WorkItem item) REQUIRES(mutex_);
-  /// Stores a finished item's result into its ticket slot or batch.
-  void CompleteLocked(WorkItem& item, ErasedResult result)
-      REQUIRES(mutex_);
-  /// Slot behind `ticket` if it is issued and unconsumed, else null.
-  TicketSlot* FindSlotLocked(uint64_t ticket) REQUIRES(mutex_);
 
   std::vector<std::unique_ptr<service::AdmissionService>> services_;
 
@@ -271,16 +197,13 @@ class TaskExecutor {
       ACQUIRED_BEFORE(kTelemetryRankBoundary) =
           Mutex{LockRank::kExecutor, "executor/queue"};
   CondVar work_cv_;  ///< Signals queued work / teardown.
-  CondVar done_cv_;  ///< Signals ticket and batch completions.
+  CondVar done_cv_;  ///< Signals item completions to RunAll callers.
   bool stopping_ GUARDED_BY(mutex_) = false;
 
   /// FIFO ring of queued items: `count_` live entries from `head_`.
   std::vector<WorkItem> ring_ GUARDED_BY(mutex_);
   size_t head_ GUARDED_BY(mutex_) = 0;
   size_t count_ GUARDED_BY(mutex_) = 0;
-
-  std::vector<TicketSlot> slots_ GUARDED_BY(mutex_);
-  std::vector<uint32_t> free_slots_ GUARDED_BY(mutex_);
 
   int64_t submitted_ GUARDED_BY(mutex_) = 0;
   int64_t failed_ GUARDED_BY(mutex_) = 0;

@@ -59,8 +59,9 @@ enum class LockRank : int {
   kClusterWorkerStats = 200,
 
   // -- Executor layer -----------------------------------------------
-  /// TaskExecutor::mutex_ — the FIFO queue, the ticket slots and the
-  /// pool counters; its condvars park idle workers and waiters.
+  /// TaskExecutor::mutex_ — the FIFO queue, the batch completion
+  /// counts and the pool counters; its condvars park idle workers and
+  /// RunAll callers.
   kExecutor = 300,
 
   // -- Telemetry layer (sinks; callees of every layer above) --------

@@ -3,8 +3,8 @@
 // prepare -> admit -> complete chains on the persistent executor pool
 // must produce ClusterPeriodReports byte-identical to the barriered
 // reference implementation, at pool sizes 1/2/8, with and without
-// autoscaling — and all period work must land on pool workers (no
-// per-period threads). Also covers the BeginPeriod/EndPeriod surface.
+// autoscaling and rebalancing — and all period work must land on pool
+// workers (no per-period threads).
 
 #include <gtest/gtest.h>
 
@@ -49,7 +49,8 @@ int TenantsFor(int period) {
   return period % 3 == 0 ? 10 : 4;
 }
 
-ClusterOptions BaseOptions(int executor_threads, bool autoscale) {
+ClusterOptions BaseOptions(int executor_threads, bool autoscale,
+                           bool rebalance = false) {
   ClusterOptions options;
   options.num_shards = kShards;
   options.total_capacity = 8.0;
@@ -65,6 +66,7 @@ ClusterOptions BaseOptions(int executor_threads, bool autoscale) {
     options.autoscale.min_capacity_ratio = 0.25;
     options.autoscale.min_dwell_periods = 2;
   }
+  options.rebalance.enabled = rebalance;
   return options;
 }
 
@@ -123,10 +125,13 @@ void ExpectClusterReportsIdentical(const ClusterPeriodReport& a,
 }
 
 /// Runs kPeriods through either the pipelined or the barriered path.
+/// When `migrations` is set, it receives the number of tenants the
+/// rebalancer moved.
 std::vector<ClusterPeriodReport> RunPeriods(int executor_threads,
-                                            bool autoscale,
-                                            bool pipelined) {
-  ClusterCenter cluster(BaseOptions(executor_threads, autoscale),
+                                            bool autoscale, bool pipelined,
+                                            bool rebalance = false,
+                                            size_t* migrations = nullptr) {
+  ClusterCenter cluster(BaseOptions(executor_threads, autoscale, rebalance),
                         RegisterQuotes);
   std::vector<ClusterPeriodReport> reports;
   for (int period = 0; period < kPeriods; ++period) {
@@ -136,19 +141,37 @@ std::vector<ClusterPeriodReport> RunPeriods(int executor_threads,
     EXPECT_TRUE(report.ok());
     reports.push_back(*report);
   }
+  if (migrations != nullptr) {
+    *migrations = 0;
+    for (const MigrationPlan& plan : cluster.migrations()) {
+      *migrations += plan.moves.size();
+    }
+  }
   return reports;
 }
 
 TEST(PeriodPipelineTest, PipelinedMatchesBarrieredAtEveryPoolSize) {
-  const auto barriered = RunPeriods(2, /*autoscale=*/false,
-                                    /*pipelined=*/false);
-  ASSERT_EQ(barriered.size(), static_cast<size_t>(kPeriods));
-  for (int threads : {1, 2, 8}) {
-    const auto pipelined = RunPeriods(threads, /*autoscale=*/false,
-                                      /*pipelined=*/true);
-    ASSERT_EQ(pipelined.size(), barriered.size()) << threads;
-    for (size_t p = 0; p < barriered.size(); ++p) {
-      ExpectClusterReportsIdentical(pipelined[p], barriered[p]);
+  // Rebalancing on runs the serial migration stage of the period tail
+  // after both variants; it must not open a gap between them.
+  for (const bool rebalance : {false, true}) {
+    size_t migrations = 0;
+    const auto barriered = RunPeriods(2, /*autoscale=*/false,
+                                      /*pipelined=*/false, rebalance,
+                                      &migrations);
+    ASSERT_EQ(barriered.size(), static_cast<size_t>(kPeriods));
+    if (rebalance) {
+      EXPECT_GT(migrations, 0u);
+    }
+    for (int threads : {1, 2, 8}) {
+      size_t pipelined_migrations = 0;
+      const auto pipelined = RunPeriods(threads, /*autoscale=*/false,
+                                        /*pipelined=*/true, rebalance,
+                                        &pipelined_migrations);
+      ASSERT_EQ(pipelined.size(), barriered.size()) << threads;
+      EXPECT_EQ(pipelined_migrations, migrations) << threads;
+      for (size_t p = 0; p < barriered.size(); ++p) {
+        ExpectClusterReportsIdentical(pipelined[p], barriered[p]);
+      }
     }
   }
 }
@@ -202,97 +225,6 @@ TEST(PeriodPipelineTest, AllPeriodWorkLandsOnPoolWorkers) {
   }
   EXPECT_EQ(stats.total_requests, mechanism_count);
   EXPECT_GT(mechanism_count, 0);
-}
-
-TEST(PeriodPipelineTest, DroppingPendingPeriodWithoutEndIsSafe) {
-  // Regression: the executor is the cluster's last-declared member, so
-  // destruction joins the pool before freeing the shards a still-running
-  // period chain dereferences. Without the ordering this is a
-  // heap-use-after-free the ASan CI job catches.
-  for (int round = 0; round < 10; ++round) {
-    ClusterCenter cluster(BaseOptions(2, /*autoscale=*/false),
-                          RegisterQuotes);
-    SubmitTenants(cluster, 0);
-    const auto period = cluster.BeginPeriod();
-    ASSERT_TRUE(period.ok());
-    // Drop the handle and the cluster with chains possibly in flight.
-  }
-  SUCCEED();
-}
-
-TEST(PeriodPipelineTest, EndPeriodRejectsForeignAndStaleHandles) {
-  ClusterCenter cluster(BaseOptions(2, /*autoscale=*/false),
-                        RegisterQuotes);
-  auto first = cluster.BeginPeriod();
-  ASSERT_TRUE(first.ok());
-  PendingPeriod foreign;  // Default-constructed: no owner, no tickets.
-  EXPECT_EQ(cluster.EndPeriod(foreign).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  // Another cluster's live handle must not end this cluster's period.
-  ClusterCenter other(BaseOptions(2, /*autoscale=*/false),
-                      RegisterQuotes);
-  auto other_period = other.BeginPeriod();
-  ASSERT_TRUE(other_period.ok());
-  EXPECT_EQ(cluster.EndPeriod(*other_period).status().code(),
-            StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(other.EndPeriod(*other_period).ok());
-
-  // A stale copy of an already-ended handle must not end a LATER
-  // period: ending period 2 with period 1's copy would unfreeze Submit
-  // while period 2's chains still run and strand period 2's tickets.
-  PendingPeriod stale_copy = *first;
-  ASSERT_TRUE(cluster.EndPeriod(*first).ok());
-  auto second = cluster.BeginPeriod();
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(cluster.EndPeriod(stale_copy).status().code(),
-            StatusCode::kFailedPrecondition);
-  // The live handle still works and the surface stayed frozen in between.
-  ASSERT_TRUE(cluster.EndPeriod(*second).ok());
-  EXPECT_EQ(cluster.history().size(), 2u);
-}
-
-TEST(PeriodPipelineTest, BeginEndPeriodSurface) {
-  ClusterCenter cluster(BaseOptions(2, /*autoscale=*/false),
-                        RegisterQuotes);
-  SubmitTenants(cluster, 0);
-
-  auto period = cluster.BeginPeriod();
-  ASSERT_TRUE(period.ok());
-
-  // The surface freezes while the period is in flight.
-  EXPECT_EQ(cluster.Submit(MakeSubmission(99, 99, 10.0, 110.0))
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(cluster.BeginPeriod().status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(cluster.RunPeriod().status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(cluster.RunPeriodBarriered().status().code(),
-            StatusCode::kFailedPrecondition);
-
-  const auto report = cluster.EndPeriod(*period);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->submissions, TenantsFor(0));
-  EXPECT_EQ(cluster.history().size(), 1u);
-
-  // The handle is consumed exactly once.
-  EXPECT_EQ(cluster.EndPeriod(*period).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  // The surface thaws: Submit and the next period work again, and the
-  // split path produced the same thing RunPeriod would have.
-  ASSERT_TRUE(cluster.Submit(MakeSubmission(7, 7, 20.0, 105.0)).ok());
-  const auto next = cluster.RunPeriod();
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->period, 1);
-
-  ClusterCenter twin(BaseOptions(2, /*autoscale=*/false), RegisterQuotes);
-  SubmitTenants(twin, 0);
-  const auto twin_report = twin.RunPeriod();
-  ASSERT_TRUE(twin_report.ok());
-  ExpectClusterReportsIdentical(*report, *twin_report);
 }
 
 }  // namespace

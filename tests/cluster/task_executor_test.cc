@@ -1,9 +1,8 @@
 // Copyright 2026 The streambid Authors
-// TaskExecutor contract tests: typed tickets round-trip arbitrary
-// closure results, RunAll aligns positionally and surfaces the
-// lowest-index failure, a single worker runs tasks in FIFO order,
-// destruction never hangs waiters, and every failure mode (error
-// Result, consumed or recycled ticket) returns a typed error.
+// TaskExecutor contract tests: RunAll aligns results positionally and
+// surfaces the lowest-index failure, tasks see their worker's own
+// context, a single worker runs queued tasks in FIFO order, and
+// concurrent RunAll callers each get their own results back.
 
 #include "cluster/task_executor.h"
 
@@ -20,48 +19,22 @@
 namespace streambid::cluster {
 namespace {
 
-TEST(TaskExecutorTest, SubmitWaitRoundTripsTypedResults) {
-  TaskExecutor executor(ExecutorOptions{2});
-  EXPECT_EQ(executor.num_threads(), 2);
-
-  const auto int_ticket = executor.Submit<int>(
-      [](WorkerContext&) -> Result<int> { return 41 + 1; });
-  ASSERT_TRUE(int_ticket.ok());
-  const auto string_ticket = executor.Submit<std::string>(
-      [](WorkerContext&) -> Result<std::string> {
-        return std::string("pipelined");
-      });
-  ASSERT_TRUE(string_ticket.ok());
-
-  const Result<int> n = executor.Wait(*int_ticket);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 42);
-  const Result<std::string> s = executor.Wait(*string_ticket);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(*s, "pipelined");
-  EXPECT_EQ(executor.pending_tasks(), 0);
-}
-
 TEST(TaskExecutorTest, WorkerContextExposesWorkerLocalService) {
   TaskExecutor executor(ExecutorOptions{3});
   std::mutex mutex;
   std::vector<const service::AdmissionService*> seen;
   std::vector<int> ids;
-  std::vector<Ticket<bool>> tickets;
+  std::vector<TaskExecutor::Task<bool>> tasks;
   for (int i = 0; i < 12; ++i) {
-    const auto ticket = executor.Submit<bool>(
-        [&](WorkerContext& context) -> Result<bool> {
-          std::lock_guard<std::mutex> lock(mutex);
-          seen.push_back(context.service);
-          ids.push_back(context.worker_id);
-          return true;
-        });
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
+    tasks.push_back([&](WorkerContext& context) -> Result<bool> {
+      std::lock_guard<std::mutex> lock(mutex);
+      seen.push_back(context.service);
+      ids.push_back(context.worker_id);
+      return true;
+    });
   }
-  for (const Ticket<bool> ticket : tickets) {
-    ASSERT_TRUE(executor.Wait(ticket).ok());
-  }
+  ASSERT_TRUE(executor.RunAll(std::move(tasks)).ok());
+  ASSERT_EQ(seen.size(), 12u);
   for (size_t k = 0; k < seen.size(); ++k) {
     ASSERT_NE(seen[k], nullptr);
     ASSERT_GE(ids[k], 0);
@@ -115,37 +88,36 @@ TEST(TaskExecutorTest, RunAllReportsLowestIndexFailure) {
   EXPECT_EQ(results.status().message(), "boom at 2");
   // All tasks still ran; failure reporting does not cancel the batch.
   EXPECT_EQ(executed.load(), 8);
+  const TaskExecutorStats stats = executor.StatsReport();
+  EXPECT_EQ(stats.executed, 8);
+  EXPECT_EQ(stats.failed, 2);
 }
 
 TEST(TaskExecutorTest, ClosureErrorPropagatesThroughTicket) {
+  // A closure's own error Result comes back to the caller unchanged,
+  // counts as one failed task, and leaves the pool serving.
   TaskExecutor executor(ExecutorOptions{1});
-  const auto ticket = executor.Submit<int>(
-      [](WorkerContext&) -> Result<int> {
-        return Status::OutOfRange("task failed");
-      });
-  ASSERT_TRUE(ticket.ok());
-  const Result<int> result = executor.Wait(*ticket);
+  std::vector<TaskExecutor::Task<int>> failing;
+  failing.push_back([](WorkerContext&) -> Result<int> {
+    return Status::OutOfRange("task failed");
+  });
+  const Result<std::vector<int>> result =
+      executor.RunAll(std::move(failing));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(result.status().message(), "task failed");
-  // The error consumed the ticket like any other result.
-  EXPECT_EQ(executor.Wait(*ticket).status().code(), StatusCode::kNotFound);
-  const TaskExecutorStats stats = executor.StatsReport();
+  TaskExecutorStats stats = executor.StatsReport();
   EXPECT_EQ(stats.failed, 1);
   EXPECT_EQ(stats.executed, 1);
-}
 
-TEST(TaskExecutorTest, WaitOnConsumedOrUnknownTicketIsNotFound) {
-  TaskExecutor executor(ExecutorOptions{1});
-  const auto ticket = executor.Submit<int>(
-      [](WorkerContext&) -> Result<int> { return 7; });
-  ASSERT_TRUE(ticket.ok());
-  ASSERT_TRUE(executor.Wait(*ticket).ok());
-  EXPECT_EQ(executor.Wait(*ticket).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(executor.Wait(Ticket<int>{0}).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(executor.Wait(Ticket<int>{999}).status().code(),
-            StatusCode::kNotFound);
+  std::vector<TaskExecutor::Task<int>> next;
+  next.push_back([](WorkerContext&) -> Result<int> { return 7; });
+  const Result<std::vector<int>> after = executor.RunAll(std::move(next));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, std::vector<int>{7});
+  stats = executor.StatsReport();
+  EXPECT_EQ(stats.failed, 1);
+  EXPECT_EQ(stats.executed, 2);
 }
 
 /// Parks a worker on a latch so the queue state is fully deterministic:
@@ -169,34 +141,6 @@ struct Latch {
   }
 };
 
-TEST(TaskExecutorTest, DestructionWithoutShutdownNeverHangsWaiters) {
-  // Queue deep work behind a parked worker, then destroy: queued tasks
-  // are dropped and a concurrent-free Wait before destruction still
-  // sees a typed error, not a hang (contract: the destructor completes
-  // unconsumed tickets with kFailedPrecondition).
-  std::optional<TaskExecutor> executor;
-  executor.emplace(ExecutorOptions{1});
-  Latch latch;
-  const auto blocker = executor->Submit<int>(
-      [&latch](WorkerContext&) -> Result<int> {
-        {
-          std::unique_lock<std::mutex> lock(latch.mutex);
-          latch.started = true;
-          latch.cv.notify_all();
-          latch.cv.wait(lock, [&latch] { return latch.release; });
-        }
-        return 1;
-      });
-  ASSERT_TRUE(blocker.ok());
-  latch.WaitStarted();
-  const auto queued = executor->Submit<int>(
-      [](WorkerContext&) -> Result<int> { return 2; });
-  ASSERT_TRUE(queued.ok());
-  latch.Release();
-  executor.reset();  // Joins the worker; drops whatever was still queued.
-  SUCCEED();
-}
-
 TEST(TaskExecutorTest, StatsTrackWorkersAndQueueHighWater) {
   TaskExecutor executor(ExecutorOptions{2});
   std::vector<TaskExecutor::Task<int>> tasks;
@@ -219,141 +163,103 @@ TEST(TaskExecutorTest, StatsTrackWorkersAndQueueHighWater) {
   EXPECT_LE(stats.queue_high_water, 30);
 }
 
-/// Submits a task that parks its worker on `latch` until Release(),
-/// then returns `value`.
-Result<Ticket<int>> SubmitLatched(TaskExecutor& executor, Latch& latch,
-                                  int value) {
-  return executor.Submit<int>(
-      [&latch, value](WorkerContext&) -> Result<int> {
-        std::unique_lock<std::mutex> lock(latch.mutex);
-        latch.started = true;
-        latch.cv.notify_all();
-        latch.cv.wait(lock, [&latch] { return latch.release; });
-        return value;
+/// Runs `count` tasks starting at `first` as one RunAll from a new
+/// thread; each task appends its value to `order`.
+std::thread RunAllInBackground(TaskExecutor& executor, int first,
+                               int count, std::vector<int>& order) {
+  return std::thread([&executor, first, count, &order] {
+    std::vector<TaskExecutor::Task<int>> tasks;
+    for (int i = first; i < first + count; ++i) {
+      tasks.push_back([&order, i](WorkerContext&) -> Result<int> {
+        order.push_back(i);
+        return i;
       });
+    }
+    ASSERT_TRUE(executor.RunAll(std::move(tasks)).ok());
+  });
+}
+
+void WaitForSubmitted(const TaskExecutor& executor, int64_t submitted) {
+  while (executor.StatsReport().submitted < submitted) {
+    std::this_thread::yield();
+  }
 }
 
 TEST(TaskExecutorTest, SingleWorkerRunsTasksInSubmissionOrder) {
   TaskExecutor executor(ExecutorOptions{1});
   Latch latch;
-  const auto blocker = SubmitLatched(executor, latch, -1);
-  ASSERT_TRUE(blocker.ok());
-  latch.WaitStarted();
-  // Everything below queues behind the parked worker, mixing async
-  // tickets with a batch submitted from another thread.
-  std::vector<int> order;  // Only the single worker writes it.
-  std::vector<Ticket<int>> tickets;
-  for (int i = 0; i < 8; ++i) {
-    const auto ticket = executor.Submit<int>(
-        [&order, i](WorkerContext&) -> Result<int> {
-          order.push_back(i);
-          return i;
-        });
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(*ticket);
-  }
-  std::vector<TaskExecutor::Task<int>> batch;
-  for (int i = 8; i < 12; ++i) {
-    batch.push_back([&order, i](WorkerContext&) -> Result<int> {
-      order.push_back(i);
-      return i;
+  std::thread blocker([&executor, &latch] {
+    std::vector<TaskExecutor::Task<int>> tasks;
+    tasks.push_back([&latch](WorkerContext&) -> Result<int> {
+      std::unique_lock<std::mutex> lock(latch.mutex);
+      latch.started = true;
+      latch.cv.notify_all();
+      latch.cv.wait(lock, [&latch] { return latch.release; });
+      return -1;
     });
-  }
-  std::thread batcher([&executor, &batch] {
-    ASSERT_TRUE(executor.RunAll(std::move(batch)).ok());
+    ASSERT_TRUE(executor.RunAll(std::move(tasks)).ok());
   });
-  while (executor.StatsReport().submitted < 1 + 8 + 4) {
-    std::this_thread::yield();
-  }
+  latch.WaitStarted();
+  // Two batches from two more threads queue behind the parked worker,
+  // one after the other.
+  std::vector<int> order;  // Only the single worker writes it.
+  std::thread first = RunAllInBackground(executor, 0, 8, order);
+  WaitForSubmitted(executor, 1 + 8);
+  std::thread second = RunAllInBackground(executor, 8, 4, order);
+  WaitForSubmitted(executor, 1 + 8 + 4);
   latch.Release();
-  batcher.join();
-  EXPECT_EQ(*executor.Wait(*blocker), -1);
-  for (const Ticket<int> ticket : tickets) {
-    ASSERT_TRUE(executor.Wait(ticket).ok());
-  }
+  blocker.join();
+  first.join();
+  second.join();
   std::vector<int> expected(12);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
 }
 
-TEST(TaskExecutorTest, RecycledSlotNeverAnswersStaleTicket) {
-  TaskExecutor executor(ExecutorOptions{1});
-  const auto stale = executor.Submit<int>(
-      [](WorkerContext&) -> Result<int> { return 1; });
-  ASSERT_TRUE(stale.ok());
-  ASSERT_EQ(*executor.Wait(*stale), 1);
-
-  // The next task reuses the consumed ticket's slot (same low 32 bits)
-  // under a new generation, and stays pending behind the latch.
-  Latch latch;
-  const auto fresh = SubmitLatched(executor, latch, 2);
-  ASSERT_TRUE(fresh.ok());
-  ASSERT_EQ(fresh->id & 0xffffffffu, stale->id & 0xffffffffu);
-  ASSERT_NE(fresh->id, stale->id);
-  latch.WaitStarted();
-
-  // The stale handle neither blocks on nor captures the new occupant.
-  EXPECT_EQ(executor.Wait(*stale).status().code(), StatusCode::kNotFound);
-  latch.Release();
-  EXPECT_EQ(executor.Wait(*stale).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(*executor.Wait(*fresh), 2);
-  EXPECT_EQ(executor.pending_tasks(), 0);
-}
-
 TEST(TaskExecutorTest, StressEightWorkersRacingSubmittersAndBatches) {
+  // Several threads race RunAll on one pool; every caller must get
+  // exactly its own results back, in its own task order.
   TaskExecutor executor(ExecutorOptions{8});
-  constexpr int kSubmitters = 4;
-  constexpr int kPerSubmitter = 200;
-  constexpr int kBatchEvery = 20;
-  constexpr int kBatchSize = 5;
-  std::atomic<int64_t> sum{0};
-  std::atomic<int64_t> batch_sum{0};
-  std::vector<std::thread> submitters;
-  submitters.reserve(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&executor, &sum, &batch_sum, s] {
-      std::vector<Ticket<int>> tickets;
-      tickets.reserve(kPerSubmitter);
-      for (int i = 0; i < kPerSubmitter; ++i) {
-        const int value = s * kPerSubmitter + i;
-        const auto ticket = executor.Submit<int>(
-            [value](WorkerContext&) -> Result<int> { return value; });
-        ASSERT_TRUE(ticket.ok());
-        tickets.push_back(*ticket);
-        if (i % kBatchEvery == 0) {
-          // A blocking batch while this thread's own tickets and the
-          // other submitters' work are still in flight.
-          std::vector<TaskExecutor::Task<int>> batch;
-          for (int k = 0; k < kBatchSize; ++k) {
-            batch.push_back([k](WorkerContext&) -> Result<int> { return k; });
-          }
-          const auto results = executor.RunAll(std::move(batch));
-          ASSERT_TRUE(results.ok());
-          for (const int r : *results) batch_sum.fetch_add(r);
+  constexpr int kCallers = 6;
+  constexpr int kBatches = 60;
+  constexpr int kMaxBatchSize = 9;
+  std::atomic<int64_t> tasks_run{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&executor, &tasks_run, c] {
+      for (int b = 0; b < kBatches; ++b) {
+        const int size = 1 + (b + c) % kMaxBatchSize;
+        std::vector<TaskExecutor::Task<int>> tasks;
+        for (int i = 0; i < size; ++i) {
+          const int value = (c * kBatches + b) * kMaxBatchSize + i;
+          tasks.push_back([value](WorkerContext&) -> Result<int> {
+            return value;
+          });
         }
-      }
-      for (const Ticket<int>& ticket : tickets) {
-        const Result<int> r = executor.Wait(ticket);
-        ASSERT_TRUE(r.ok());
-        sum.fetch_add(*r);
+        const Result<std::vector<int>> results =
+            executor.RunAll(std::move(tasks));
+        ASSERT_TRUE(results.ok());
+        ASSERT_EQ(results->size(), static_cast<size_t>(size));
+        for (int i = 0; i < size; ++i) {
+          ASSERT_EQ((*results)[static_cast<size_t>(i)],
+                    (c * kBatches + b) * kMaxBatchSize + i)
+              << "caller " << c << " batch " << b;
+        }
+        tasks_run.fetch_add(size);
       }
     });
   }
-  for (std::thread& t : submitters) t.join();
+  for (std::thread& t : callers) t.join();
 
-  constexpr int64_t kTotal = kSubmitters * kPerSubmitter;
-  constexpr int64_t kBatches = kSubmitters * (kPerSubmitter / kBatchEvery);
-  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
-  EXPECT_EQ(batch_sum.load(),
-            kBatches * kBatchSize * (kBatchSize - 1) / 2);
   const TaskExecutorStats stats = executor.StatsReport();
-  EXPECT_EQ(stats.submitted, kTotal + kBatches * kBatchSize);
+  EXPECT_EQ(stats.submitted, tasks_run.load());
   EXPECT_EQ(stats.executed, stats.submitted);
+  EXPECT_EQ(stats.failed, 0);
   ASSERT_EQ(stats.tasks_per_worker.size(), 8u);
   EXPECT_EQ(std::accumulate(stats.tasks_per_worker.begin(),
                             stats.tasks_per_worker.end(), int64_t{0}),
             stats.executed);
-  EXPECT_EQ(executor.pending_tasks(), 0);
 }
 
 }  // namespace
