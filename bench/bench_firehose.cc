@@ -5,8 +5,8 @@
 // actually loaded — producer threads pushing a Zipf-skewed arrival
 // stream with no feedback loop — and measures what the gate buys:
 // bounded buffering (the ticket pools, not the arrival rate, cap the
-// backlog), O(1) pre-auction shedding with typed retry-after statuses,
-// and a probed concurrency limit that tracks measured admit throughput.
+// backlog) and O(1) pre-auction shedding with typed retry-after
+// statuses.
 //
 // Experiments (every CHECK runs in both modes):
 //  1. Open-loop firehose: 4 producers, Zipf tenant skew, driver closing
@@ -16,10 +16,7 @@
 //     submissions/sec, shed fraction, p99 gate wait, and whole-stack
 //     heap allocations per offer (submission construction and
 //     per-period report assembly included) as a trajectory metric.
-//  2. Probe trajectory: a closed-loop phase-shifted workload through
-//     the throughput probe; prints the epoch table and CHECKs bounds
-//     plus decision replay across a re-run.
-//  3. Replay identity: for a closed-loop workload that never exhausts
+//  2. Replay identity: for a closed-loop workload that never exhausts
 //     tickets, gated per-period cluster reports are byte-identical to
 //     direct ClusterCenter::Submit at executor pool sizes 1/2/8.
 //
@@ -208,76 +205,7 @@ FirehoseResult RunFirehoseExperiment(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment 2: the probe trajectory.
-
-std::vector<gate::ProbeDecision> RunProbeTrajectory(int periods,
-                                                    bool print) {
-  cluster::ClusterCenter center(BaseClusterOptions(2), RegisterQuotes);
-  gate::IngressOptions options;
-  options.tenant_classes = 2;
-  options.tickets_per_class = 16;
-  options.probe.enabled = true;
-  options.probe.initial_concurrency = 8;
-  options.probe.min_concurrency = 4;
-  options.probe.max_concurrency = 64;
-  options.probe.seed = 9;
-  gate::StreamIngress gate(&center, options);
-
-  TextTable table({"epoch", "state", "concurrency", "stable",
-                   "throughput", "ema", "reason"});
-  std::vector<gate::ProbeDecision> decisions;
-  int next_id = 1;
-  for (int period = 0; period < periods; ++period) {
-    // Phase-shifted demand: a low-rate warmup, a heavy middle, a
-    // cooldown — the probe has to climb, hold, and descend.
-    const int phase = period * 3 / periods;
-    const int demand = phase == 0 ? 6 : phase == 1 ? 20 : 3;
-    for (int t = 1; t <= demand; ++t) {
-      (void)gate.Offer(MakeSubmission(next_id++, t,
-                                      40.0 - 1.5 * (t % 9),
-                                      101.0 + 1.5 * (t % 12)));
-    }
-    const auto gated = gate.ClosePeriod();
-    STREAMBID_CHECK(gated.ok());
-    STREAMBID_CHECK(gated->probe.has_value());
-    const gate::ProbeDecision& d = *gated->probe;
-    STREAMBID_CHECK_GE(d.concurrency, options.probe.min_concurrency);
-    STREAMBID_CHECK_LE(d.concurrency, options.probe.max_concurrency);
-    decisions.push_back(d);
-    if (print) {
-      table.AddRow({FormatInt(d.epoch), gate::ProbeStateName(d.state),
-                    FormatInt(d.concurrency),
-                    FormatInt(d.stable_concurrency),
-                    FormatDouble(d.throughput, 1),
-                    FormatDouble(d.ema_throughput, 2), d.reason});
-    }
-  }
-  if (print) std::fputs(table.ToAligned().c_str(), stdout);
-  return decisions;
-}
-
-void RunProbeExperiment(int periods) {
-  std::printf("\n== throughput probe trajectory (%d epochs, "
-              "warmup/heavy/cooldown demand) ==\n",
-              periods);
-  const std::vector<gate::ProbeDecision> a =
-      RunProbeTrajectory(periods, /*print=*/true);
-  const std::vector<gate::ProbeDecision> b =
-      RunProbeTrajectory(periods, /*print=*/false);
-  STREAMBID_CHECK_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    STREAMBID_CHECK(a[i].state == b[i].state);
-    STREAMBID_CHECK_EQ(a[i].concurrency, b[i].concurrency);
-    STREAMBID_CHECK_EQ(a[i].stable_concurrency, b[i].stable_concurrency);
-    STREAMBID_CHECK(a[i].reason == b[i].reason);
-    STREAMBID_CHECK_EQ(a[i].ema_throughput, b[i].ema_throughput);
-  }
-  std::printf("# probe decisions replay byte-identically from "
-              "(observations, seed)\n");
-}
-
-// ---------------------------------------------------------------------------
-// Experiment 3: replay identity, gate vs direct Submit.
+// Experiment 2: replay identity, gate vs direct Submit.
 
 int ClosedLoopTenants(int period) {
   if (period % 5 == 4) return 0;
@@ -391,10 +319,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   std::printf("ticket-gated streaming admission: open-loop shedding, "
-              "throughput probing, replay identity%s\n",
+              "replay identity%s\n",
               smoke ? " (smoke)" : "");
   const FirehoseResult firehose = RunFirehoseExperiment(smoke);
-  RunProbeExperiment(smoke ? 12 : 30);
   RunReplayExperiment(smoke ? 10 : 20);
   WriteJsonArtifact(firehose);
   return 0;

@@ -4,8 +4,7 @@
 // of offers exhausts one class's pool — those requests shed BEFORE
 // costing an auction slot, with a typed retry-after status — while the
 // other class keeps flowing; the period drain hands the granted batch
-// to the cluster, and the throughput probe adjusts the concurrency
-// limit from the measured admit throughput.
+// to the cluster and recycles the tickets.
 //
 // Build & run:  ./build/examples/firehose_quickstart
 
@@ -53,10 +52,6 @@ int main() {
   options.tenant_classes = 2;   // user id % 2 picks the class.
   options.tickets_per_class = 3;
   options.retry_after_periods = 1.0;
-  options.probe.enabled = true;
-  options.probe.initial_concurrency = 6;
-  options.probe.min_concurrency = 2;
-  options.probe.max_concurrency = 16;
   gate::StreamIngress gate(&cluster, options);
 
   std::printf("== streaming admission gate: %d classes x %d tickets in "
@@ -86,7 +81,7 @@ int main() {
               odd.ok() ? "granted a class-1 ticket" : "shed");
 
   // Close the period: the granted batch drains into the cluster's
-  // auction, tickets recycle, and the probe observes the throughput.
+  // auction and the tickets recycle.
   const auto gated = gate.ClosePeriod();
   if (!gated.ok()) {
     std::fprintf(stderr, "period failed: %s\n",
@@ -109,14 +104,5 @@ int main() {
               static_cast<long long>(gated->gate.admitted),
               static_cast<long long>(gated->gate.shed),
               gated->report.admitted, gated->report.submissions);
-  if (gated->probe.has_value()) {
-    std::printf("probe epoch %d: %s -> concurrency %d (stable %d, "
-                "ema %.2f)\n",
-                gated->probe->epoch,
-                gate::ProbeStateName(gated->probe->state),
-                gated->probe->concurrency,
-                gated->probe->stable_concurrency,
-                gated->probe->ema_throughput);
-  }
   return 0;
 }

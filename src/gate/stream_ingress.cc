@@ -3,7 +3,6 @@
 #include "gate/stream_ingress.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -15,12 +14,11 @@ namespace streambid::gate {
 
 StreamIngress::StreamIngress(cluster::ClusterCenter* center,
                              const IngressOptions& options)
-    : center_(center), options_(options), probe_(options.probe) {
+    : center_(center), options_(options) {
   STREAMBID_CHECK(center != nullptr);
   STREAMBID_CHECK_GE(options.tenant_classes, 1);
   STREAMBID_CHECK_GE(options.tickets_per_class, 1);
-  STREAMBID_CHECK(std::isfinite(options.acquire_timeout_ms) &&
-                  options.acquire_timeout_ms >= 0.0);
+  STREAMBID_CHECK(TicketHolder::IsValidTimeout(options.acquire_timeout_ms));
   pools_.reserve(static_cast<size_t>(options.tenant_classes));
   for (int k = 0; k < options.tenant_classes; ++k) {
     pools_.push_back(std::make_unique<TicketHolder>(
@@ -35,7 +33,6 @@ StreamIngress::StreamIngress(cluster::ClusterCenter* center,
     dropped_metric_ = metrics.GetCounter("gate_dropped");
     buffered_metric_ = metrics.GetGauge("gate_buffered");
     wait_p99_metric_ = metrics.GetGauge("gate_wait_p99_ms");
-    probe_concurrency_metric_ = metrics.GetGauge("gate_probe_concurrency");
   }
 }
 
@@ -142,23 +139,6 @@ Result<GatedPeriodReport> StreamIngress::ClosePeriod() {
     admitted_metric_->Increment(outcome.accepted);
     dropped_metric_->Increment(outcome.rejected);
     wait_p99_metric_->Set(gated.gate.wait_p99_ms);
-  }
-
-  if (options_.probe.enabled) {
-    // One probe epoch per period, judged on what the gate actually
-    // admitted; the decision replays from (admit history, seed).
-    const ProbeDecision decision =
-        probe_.Observe(static_cast<double>(outcome.accepted));
-    const int classes = static_cast<int>(pools_.size());
-    const int per_class = std::max(1, decision.concurrency / classes);
-    for (const std::unique_ptr<TicketHolder>& pool : pools_) {
-      STREAMBID_RETURN_IF_ERROR(pool->Resize(per_class));
-    }
-    if (probe_concurrency_metric_ != nullptr) {
-      probe_concurrency_metric_->Set(
-          static_cast<double>(decision.concurrency));
-    }
-    gated.probe = decision;
   }
   return gated;
 }

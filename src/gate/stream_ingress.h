@@ -21,9 +21,7 @@
 // and calls the same SubmitBatch/RunPeriod path a direct caller would.
 // For a closed-loop workload that never exhausts tickets, the gated
 // per-period reports are byte-identical to direct Submit at every
-// executor pool size (tests/gate/gate_replay_test.cc). The throughput
-// probe's resizes are pure functions of (admit history, seed), so they
-// replay too.
+// executor pool size (tests/gate/gate_replay_test.cc).
 //
 // Threading: Offer is thread-safe (producers race freely); ClosePeriod
 // and the accessors below it are the period driver's — one thread
@@ -37,14 +35,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/cluster_center.h"
 #include "common/lock_order.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "gate/throughput_probe.h"
 #include "gate/ticket_holder.h"
 #include "stream/load_estimator.h"
 
@@ -63,23 +59,19 @@ struct IngressOptions {
   /// class exhausts its own pool and sheds while the others keep
   /// flowing. A submission's class is its user id modulo this count.
   int tenant_classes = 1;
-  /// Initial tickets per class pool (>= 1). The probe resizes this.
+  /// Tickets per class pool (>= 1), fixed for the gate's lifetime.
   int tickets_per_class = 64;
   /// How long Offer may wait for a ticket before shedding. 0 sheds
   /// immediately (pure open-loop); > 0 absorbs short bursts at the cost
-  /// of producer latency.
+  /// of producer latency. Must pass TicketHolder::IsValidTimeout.
   double acquire_timeout_ms = 0.0;
   /// The retry-after hint carried by shed statuses, in auction periods.
   double retry_after_periods = 1.0;
-  /// Throughput-probing concurrency control (probe.enabled gates it).
-  /// When enabled, each ClosePeriod feeds the admitted count to the
-  /// probe and applies its concurrency, split across the class pools.
-  ProbeOptions probe;
   /// Optional telemetry sink: Offer publishes gate_offered/gate_shed
   /// counters and the gate_buffered gauge; ClosePeriod publishes
-  /// gate_admitted/gate_dropped, the merged pool-wait p99, and the
-  /// probe's concurrency. Usually the same registry as
-  /// ClusterOptions::metrics so one snapshot covers the whole stack.
+  /// gate_admitted/gate_dropped and the merged pool-wait p99. Usually
+  /// the same registry as ClusterOptions::metrics so one snapshot covers
+  /// the whole stack.
   /// Null disables. Must outlive the gate.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Optional period tracer: each ClosePeriod records one gate_drain
@@ -101,19 +93,18 @@ struct GatePeriodStats {
 };
 
 /// What ClosePeriod returns: the untouched cluster report plus the
-/// gate's accounting and (when probing) the epoch's probe decision.
+/// gate's accounting.
 struct GatedPeriodReport {
   cluster::ClusterPeriodReport report;
   GatePeriodStats gate;
-  std::optional<ProbeDecision> probe;
 };
 
 /// The streaming admission gate over one ClusterCenter.
 class StreamIngress {
  public:
   /// `center` must outlive the gate. Preconditions (checked):
-  /// tenant_classes >= 1, tickets_per_class >= 1, finite non-negative
-  /// acquire_timeout_ms.
+  /// tenant_classes >= 1, tickets_per_class >= 1, and
+  /// TicketHolder::IsValidTimeout(acquire_timeout_ms).
   StreamIngress(cluster::ClusterCenter* center,
                 const IngressOptions& options);
 
@@ -130,11 +121,9 @@ class StreamIngress {
   Status Offer(stream::QuerySubmission submission);
 
   /// Drains the buffered submissions (in arrival order) into
-  /// ClusterCenter::SubmitBatch, runs one cluster period, recycles the
-  /// batch's tickets, and — when probing — applies the epoch's probe
-  /// decision to the pools. Driver thread
-  /// only. An empty buffer still runs the period (the cluster admits
-  /// whatever its shards already hold).
+  /// ClusterCenter::SubmitBatch, recycles the batch's tickets, and runs
+  /// one cluster period. Driver thread only. An empty buffer still runs
+  /// the period (the cluster admits whatever its shards already hold).
   Result<GatedPeriodReport> ClosePeriod();
 
   int tenant_classes() const {
@@ -151,7 +140,6 @@ class StreamIngress {
   /// Largest buffer ever observed — bounded by the summed pool
   /// capacities (the bench's bounded-queue CHECK).
   int buffered_high_water() const;
-  const ThroughputProbe& probe() const { return probe_; }
   const IngressOptions& options() const { return options_; }
 
   /// Lifetime totals across periods (driver thread).
@@ -167,7 +155,6 @@ class StreamIngress {
   IngressOptions options_;
   /// One pool per tenant class, named "<mechanism>/class<k>".
   std::vector<std::unique_ptr<TicketHolder>> pools_;
-  ThroughputProbe probe_;
 
   mutable Mutex mutex_ ACQUIRED_AFTER(kGateRankBoundary)
       ACQUIRED_BEFORE(kClusterRankBoundary) =
@@ -203,7 +190,6 @@ class StreamIngress {
   telemetry::Counter* dropped_metric_ = nullptr;
   telemetry::Gauge* buffered_metric_ = nullptr;
   telemetry::Gauge* wait_p99_metric_ = nullptr;
-  telemetry::Gauge* probe_concurrency_metric_ = nullptr;
 };
 
 }  // namespace streambid::gate

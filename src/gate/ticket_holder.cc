@@ -4,11 +4,25 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace streambid::gate {
+
+namespace {
+
+/// The longest timeout whose deadline, now() + timeout, still fits a
+/// steady_clock time point. steady_clock counts from an epoch (boot, on
+/// Linux) far below its ~292-year range, so half the range leaves room
+/// for any reachable now(); beyond the full range the duration_cast of
+/// the timeout itself would overflow into a deadline in the past.
+constexpr double kMaxTimeoutMs =
+    std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::duration::max())
+        .count() /
+    2.0;
+
+}  // namespace
 
 TicketHolder::TicketHolder(std::string name, int capacity)
     : name_(std::move(name)), capacity_(capacity) {
@@ -26,19 +40,15 @@ void TicketHolder::GrantLocked(double wait_micros, bool queued) {
   wait_.Record(wait_micros);
 }
 
-bool TicketHolder::TryAcquire() {
-  MutexLock lock(mutex_);
-  if (waiters_.empty() && used_ < capacity_) {
-    GrantLocked(0.0, /*queued=*/false);
-    return true;
-  }
-  ++rejected_;
-  return false;
+bool TicketHolder::IsValidTimeout(double timeout_ms) {
+  // Also false for NaN and both infinities.
+  return timeout_ms >= 0.0 && timeout_ms <= kMaxTimeoutMs;
 }
 
 Status TicketHolder::Acquire(double timeout_ms) {
-  if (!(timeout_ms >= 0.0) || !std::isfinite(timeout_ms)) {
-    return Status::InvalidArgument("acquire timeout must be finite and >= 0");
+  if (!IsValidTimeout(timeout_ms)) {
+    return Status::InvalidArgument(
+        "acquire timeout must be >= 0 and fit a steady_clock deadline");
   }
   MutexLock lock(mutex_);
   if (waiters_.empty() && used_ < capacity_) {
@@ -62,7 +72,7 @@ Status TicketHolder::Acquire(double timeout_ms) {
       start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                   std::chrono::duration<double, std::milli>(timeout_ms));
   // FIFO: only the front waiter may take a freed ticket, so a release
-  // burst (or a Resize growth) wakes everyone and they grant in queue
+  // burst wakes everyone and they grant in queue
   // order — each new front re-checks and chains the next notify below.
   // Manual wait loop (the grant condition reads GUARDED_BY members, so
   // it must sit in this annotated scope, not a predicate lambda); same
@@ -101,31 +111,9 @@ void TicketHolder::Release() {
   if (used_ < capacity_ && !waiters_.empty()) cv_.NotifyAll();
 }
 
-Status TicketHolder::Resize(int capacity) {
-  if (capacity < 1) {
-    return Status::InvalidArgument("ticket pool capacity must be >= 1");
-  }
-  {
-    MutexLock lock(mutex_);
-    capacity_ = capacity;
-  }
-  cv_.NotifyAll();
-  return Status::Ok();
-}
-
-int TicketHolder::capacity() const {
-  MutexLock lock(mutex_);
-  return capacity_;
-}
-
 int TicketHolder::used() const {
   MutexLock lock(mutex_);
   return used_;
-}
-
-int TicketHolder::available() const {
-  MutexLock lock(mutex_);
-  return std::max(0, capacity_ - used_);
 }
 
 int TicketHolder::waiting() const {

@@ -7,24 +7,21 @@
 // exhausts its own pool and sheds while the other classes keep flowing.
 //
 // Semantics:
-//  - TryAcquire: the immediate-grant fast path. Succeeds only when a
-//    ticket is free AND no waiter is queued — an opportunistic caller
-//    can never steal a release out from under the FIFO queue, which is
-//    what makes the no-starvation property below hold.
-//  - Acquire(timeout_ms): joins a FIFO waiter queue. Waiters are
-//    granted strictly in arrival order; a timeout leaves the queue and
-//    returns typed kResourceExhausted (the caller sheds). timeout 0
-//    degenerates to TryAcquire-with-a-Status.
+//  - Acquire(timeout_ms): timeout 0 is the immediate-grant fast path —
+//    it succeeds only when a ticket is free AND no waiter is queued, so
+//    an opportunistic caller can never steal a release out from under
+//    the FIFO queue, which is what makes the no-starvation property
+//    below hold. A positive timeout joins the FIFO waiter queue:
+//    waiters are granted strictly in arrival order, and a timeout
+//    leaves the queue and returns typed kResourceExhausted (the caller
+//    sheds).
 //  - Release: returns the ticket and hands the next FIFO waiter its
 //    turn. Tickets are not identity-tracked: the holder counts.
-//  - Resize: the throughput probe's hook. Growing wakes waiters;
-//    shrinking below the outstanding count never invalidates held
-//    tickets — the pool just refuses new grants until releases bring
-//    the count back under the new capacity.
+//  - The capacity is fixed at construction.
 //
 // No-starvation: a queued waiter is granted after at most (position in
-// queue) releases, because grants are FIFO and TryAcquire cannot jump
-// the queue. tests/gate/gate_replay_test.cc asserts this under
+// queue) releases, because grants are FIFO and the fast path cannot
+// jump the queue. tests/gate/ticket_holder_test.cc asserts this under
 // concurrency.
 
 #ifndef STREAMBID_GATE_TICKET_HOLDER_H_
@@ -56,14 +53,14 @@ struct TicketHolderStats {
   int64_t granted_immediate = 0; ///< Fast-path grants (no queueing).
   int64_t granted_queued = 0;    ///< Grants after a FIFO wait.
   int64_t timed_out = 0;         ///< Acquires that left the queue.
-  int64_t rejected = 0;          ///< TryAcquire / zero-timeout failures.
+  int64_t rejected = 0;          ///< Zero-timeout (fast-path) failures.
   int used_high_water = 0;       ///< Max concurrent outstanding tickets.
   int queue_high_water = 0;      ///< Max concurrent waiters.
   WaitHistogram wait;            ///< Grant latency (immediate = 0).
 };
 
 /// One bounded ticket pool. Thread-safe: any thread may acquire,
-/// release, resize, and read stats concurrently.
+/// release, and read stats concurrently.
 class TicketHolder {
  public:
   /// Precondition (checked): capacity >= 1.
@@ -72,29 +69,24 @@ class TicketHolder {
   TicketHolder(const TicketHolder&) = delete;
   TicketHolder& operator=(const TicketHolder&) = delete;
 
-  /// Immediate-grant fast path: true iff a ticket was free and no
-  /// waiter was queued ahead. Never blocks, never queues.
-  bool TryAcquire();
-
   /// Blocking acquire with a FIFO queue position. timeout_ms == 0 is
   /// the non-queueing fast path with a typed error; timeout_ms > 0
   /// waits at most that long, then returns kResourceExhausted and
-  /// counts into stats().timed_out. Negative/non-finite timeouts are
-  /// kInvalidArgument.
+  /// counts into stats().timed_out. Timeouts that are negative,
+  /// non-finite, or too long for a steady_clock deadline are
+  /// kInvalidArgument (see IsValidTimeout).
   Status Acquire(double timeout_ms);
 
   /// Returns one ticket. Precondition (checked): a ticket is
   /// outstanding.
   void Release();
 
-  /// Re-bounds the pool (>= 1, else kInvalidArgument); the throughput
-  /// probe's resize hook. Held tickets survive a shrink.
-  Status Resize(int capacity);
+  /// True iff Acquire accepts `timeout_ms`: finite, >= 0, and short
+  /// enough that now + timeout still fits a steady_clock time point.
+  static bool IsValidTimeout(double timeout_ms);
 
-  int capacity() const;
+  int capacity() const { return capacity_; }
   int used() const;
-  /// Free tickets (0 when shrunk below the outstanding count).
-  int available() const;
   int waiting() const;
   const std::string& name() const { return name_; }
 
@@ -116,7 +108,7 @@ class TicketHolder {
       ACQUIRED_BEFORE(kClusterRankBoundary) =
           Mutex{LockRank::kGateTicketPool, "gate/ticket_pool"};
   CondVar cv_;
-  int capacity_ GUARDED_BY(mutex_);
+  const int capacity_;
   int used_ GUARDED_BY(mutex_) = 0;
   /// FIFO queue of waiter ids; the front waiter owns the next grant.
   std::deque<uint64_t> waiters_ GUARDED_BY(mutex_);

@@ -2,11 +2,8 @@
 // The gate's replay-identity contract: for a closed-loop workload that
 // never exhausts tickets, per-period cluster reports with the gate
 // enabled are byte-identical to direct ClusterCenter::Submit — at
-// executor pool sizes 1/2/8, with the throughput probe off or on
-// (probed resizes only move capacity the workload never reaches). Plus
-// the concurrency properties: gated runs replay byte-identically
-// against themselves, and the ticket bound holds under racing
-// producers.
+// executor pool sizes 1/2/8. Plus the concurrency property: the
+// ticket bound holds under racing producers.
 
 #include <gtest/gtest.h>
 
@@ -67,19 +64,10 @@ cluster::ClusterOptions BaseClusterOptions(int executor_threads) {
   return options;
 }
 
-IngressOptions AmpleTickets(bool probing) {
+IngressOptions AmpleTickets() {
   IngressOptions options;
   options.tenant_classes = 2;
   options.tickets_per_class = 32;
-  if (probing) {
-    options.probe.enabled = true;
-    // The probe moves concurrency far above what the workload uses, so
-    // tickets never run out and the reports must stay untouched.
-    options.probe.initial_concurrency = 64;
-    options.probe.min_concurrency = 32;
-    options.probe.max_concurrency = 128;
-    options.probe.seed = 9;
-  }
   return options;
 }
 
@@ -133,11 +121,10 @@ std::vector<cluster::ClusterPeriodReport> RunDirect(int executor_threads) {
   return reports;
 }
 
-std::vector<cluster::ClusterPeriodReport> RunGated(int executor_threads,
-                                                   bool probing) {
+std::vector<cluster::ClusterPeriodReport> RunGated(int executor_threads) {
   cluster::ClusterCenter center(BaseClusterOptions(executor_threads),
                                 RegisterQuotes);
-  StreamIngress gate(&center, AmpleTickets(probing));
+  StreamIngress gate(&center, AmpleTickets());
   std::vector<cluster::ClusterPeriodReport> reports;
   for (int period = 0; period < kPeriods; ++period) {
     for (int t = 1; t <= TenantsFor(period); ++t) {
@@ -155,13 +142,11 @@ std::vector<cluster::ClusterPeriodReport> RunGated(int executor_threads,
 TEST(GateReplayTest, GatedMatchesDirectSubmitAtEveryPoolSize) {
   const std::vector<cluster::ClusterPeriodReport> reference = RunDirect(1);
   for (const int threads : {1, 2, 8}) {
-    for (const bool probing : {false, true}) {
-      const std::vector<cluster::ClusterPeriodReport> gated =
-          RunGated(threads, probing);
-      ASSERT_EQ(gated.size(), reference.size());
-      for (size_t p = 0; p < reference.size(); ++p) {
-        ExpectClusterReportsIdentical(gated[p], reference[p]);
-      }
+    const std::vector<cluster::ClusterPeriodReport> gated =
+        RunGated(threads);
+    ASSERT_EQ(gated.size(), reference.size());
+    for (size_t p = 0; p < reference.size(); ++p) {
+      ExpectClusterReportsIdentical(gated[p], reference[p]);
     }
     // Direct runs are themselves pool-size invariant (the existing
     // pipelining contract) — assert it so a regression here cannot
@@ -171,35 +156,6 @@ TEST(GateReplayTest, GatedMatchesDirectSubmitAtEveryPoolSize) {
     for (size_t p = 0; p < reference.size(); ++p) {
       ExpectClusterReportsIdentical(direct[p], reference[p]);
     }
-  }
-}
-
-TEST(GateReplayTest, ProbeDecisionsReplayAcrossGatedRuns) {
-  auto run = []() -> std::vector<ProbeDecision> {
-    cluster::ClusterCenter center(BaseClusterOptions(2), RegisterQuotes);
-    StreamIngress gate(&center, AmpleTickets(/*probing=*/true));
-    std::vector<ProbeDecision> decisions;
-    for (int period = 0; period < kPeriods; ++period) {
-      for (int t = 1; t <= TenantsFor(period); ++t) {
-        EXPECT_TRUE(gate.Offer(TenantSubmission(period, t)).ok());
-      }
-      const auto gated = gate.ClosePeriod();
-      EXPECT_TRUE(gated.ok());
-      if (gated.ok() && gated->probe.has_value()) {
-        decisions.push_back(*gated->probe);
-      }
-    }
-    return decisions;
-  };
-  const std::vector<ProbeDecision> a = run();
-  const std::vector<ProbeDecision> b = run();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].state, b[i].state);
-    EXPECT_EQ(a[i].concurrency, b[i].concurrency);
-    EXPECT_EQ(a[i].stable_concurrency, b[i].stable_concurrency);
-    EXPECT_EQ(a[i].reason, b[i].reason);
-    EXPECT_EQ(a[i].ema_throughput, b[i].ema_throughput);
   }
 }
 

@@ -2,8 +2,8 @@
 // StreamIngress contract tests: granted submissions buffer and drain
 // into real cluster periods, ticket-starved offers shed with the typed
 // retry-after status, classes are isolated, tickets recycle across
-// periods, drain-time cluster refusals are accounted as drops, and the
-// throughput probe's decisions resize the pools. Also backpressure:
+// periods, and drain-time cluster refusals are accounted as drops. Also
+// backpressure:
 // the gate's kResourceExhausted is the status the caller sees, marked
 // as a shed, with the shedding accounted in the period report.
 
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "service/gate_status.h"
@@ -92,7 +91,6 @@ TEST(StreamIngressTest, GrantsBufferAndDrainIntoClusterPeriod) {
   EXPECT_EQ(gated->gate.admitted, 8);
   EXPECT_EQ(gated->gate.shed, 0);
   EXPECT_EQ(gated->gate.dropped, 0);
-  EXPECT_FALSE(gated->probe.has_value());  // Probing off by default.
   ASSERT_EQ(gated->gate.pools.size(), 1u);
   EXPECT_EQ(gated->gate.pools[0].name, "cat/class0");
   EXPECT_EQ(gate.buffered(), 0);
@@ -147,7 +145,7 @@ TEST(StreamIngressTest, ShedIsDistinguishableFromExecutorBackpressure) {
   EXPECT_FALSE(service::IsShed(plain));
 
   TicketHolder pool("cat/class0", 1);
-  ASSERT_TRUE(pool.TryAcquire());
+  ASSERT_TRUE(pool.Acquire(0.0).ok());
   const Status shed = service::ShedRejection(pool.name(), 1.0);
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(service::IsShed(shed));
@@ -219,36 +217,6 @@ TEST(StreamIngressTest, ClusterRefusalsAtDrainCountAsDropped) {
   EXPECT_EQ(gated->gate.dropped, 1);
   EXPECT_EQ(gated->report.submissions, 2);  // The drop never landed.
   EXPECT_EQ(gate.pool(0).used(), 0);  // Its ticket still recycled.
-}
-
-TEST(StreamIngressTest, ProbeResizesTicketPools) {
-  cluster::ClusterCenter center(BaseClusterOptions(), RegisterQuotes);
-  IngressOptions options;
-  options.tenant_classes = 2;
-  options.tickets_per_class = 8;
-  options.probe.enabled = true;
-  options.probe.initial_concurrency = 16;
-  options.probe.min_concurrency = 4;
-  options.probe.max_concurrency = 32;
-  StreamIngress gate(&center, options);
-
-  for (int period = 0; period < 6; ++period) {
-    for (int id = 1; id <= 6; ++id) {
-      (void)gate.Offer(MakeSubmission(100 * period + id, id,
-                                      60.0 - 5.0 * id,
-                                      100.0 + 5.0 * (id % 3)));
-    }
-    const auto gated = gate.ClosePeriod();
-    ASSERT_TRUE(gated.ok());
-    ASSERT_TRUE(gated->probe.has_value());
-    const ProbeDecision& decision = *gated->probe;
-    EXPECT_GE(decision.concurrency, options.probe.min_concurrency);
-    EXPECT_LE(decision.concurrency, options.probe.max_concurrency);
-    // The decision lands on the pools, split across the classes.
-    const int per_class = std::max(1, decision.concurrency / 2);
-    EXPECT_EQ(gate.pool(0).capacity(), per_class);
-    EXPECT_EQ(gate.pool(1).capacity(), per_class);
-  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Copyright 2026 The streambid Authors
-// TicketHolder contract tests: the fast path grants immediately, the
-// FIFO queue wakes in arrival order and cannot be starved by
-// opportunistic TryAcquire, timeouts leave the queue with a typed
-// error, resizes grow and shrink without invalidating held tickets,
-// and the stats snapshot accounts every outcome.
+// TicketHolder contract tests: the zero-timeout fast path grants
+// immediately, the FIFO queue wakes in arrival order and cannot be
+// starved by opportunistic fast-path callers, timeouts leave the queue
+// with a typed error, timeouts whose deadline does not fit are
+// rejected, and the stats snapshot accounts every outcome.
 
 #include "gate/ticket_holder.h"
 
@@ -32,15 +32,15 @@ TEST(TicketHolderTest, FastPathGrantsUpToCapacity) {
   EXPECT_EQ(pool.capacity(), 3);
   EXPECT_EQ(pool.name(), "cat/class0");
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(pool.TryAcquire());
+    EXPECT_TRUE(pool.Acquire(0.0).ok());
   }
-  EXPECT_FALSE(pool.TryAcquire());
+  EXPECT_FALSE(pool.Acquire(0.0).ok());
   EXPECT_EQ(pool.used(), 3);
-  EXPECT_EQ(pool.available(), 0);
+  EXPECT_EQ(pool.capacity() - pool.used(), 0);
 
   pool.Release();
-  EXPECT_EQ(pool.available(), 1);
-  EXPECT_TRUE(pool.TryAcquire());
+  EXPECT_EQ(pool.capacity() - pool.used(), 1);
+  EXPECT_TRUE(pool.Acquire(0.0).ok());
 
   const TicketHolderStats stats = pool.Stats();
   EXPECT_EQ(stats.granted_immediate, 4);
@@ -61,7 +61,7 @@ TEST(TicketHolderTest, ZeroTimeoutShedsWithTypedError) {
 
 TEST(TicketHolderTest, TimeoutLeavesQueueWithTypedError) {
   TicketHolder pool("pool", 1);
-  ASSERT_TRUE(pool.TryAcquire());
+  ASSERT_TRUE(pool.Acquire(0.0).ok());
   const Status timed_out = pool.Acquire(20.0);
   EXPECT_EQ(timed_out.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(pool.waiting(), 0);
@@ -69,7 +69,7 @@ TEST(TicketHolderTest, TimeoutLeavesQueueWithTypedError) {
   EXPECT_EQ(stats.timed_out, 1);
   EXPECT_EQ(stats.queue_high_water, 1);
   // The histogram only records grants, never timeouts.
-  EXPECT_EQ(stats.wait.total, 1);  // The TryAcquire fast path.
+  EXPECT_EQ(stats.wait.total, 1);  // The zero-timeout fast path.
 }
 
 TEST(TicketHolderTest, InvalidTimeoutsAreTypedErrors) {
@@ -77,13 +77,15 @@ TEST(TicketHolderTest, InvalidTimeoutsAreTypedErrors) {
   EXPECT_EQ(pool.Acquire(-1.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(pool.Acquire(std::numeric_limits<double>::infinity()).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.Resize(0).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(pool.Resize(-3).code(), StatusCode::kInvalidArgument);
+  // Finite but past any steady_clock deadline: rejected, not a timeout
+  // that fires at once.
+  EXPECT_EQ(pool.Acquire(1e13).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(pool.Acquire(1e19).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TicketHolderTest, WaitersGrantInFifoOrder) {
   TicketHolder pool("pool", 1);
-  ASSERT_TRUE(pool.TryAcquire());
+  ASSERT_TRUE(pool.Acquire(0.0).ok());
 
   std::mutex order_mutex;
   std::vector<int> order;
@@ -118,19 +120,19 @@ TEST(TicketHolderTest, WaitersGrantInFifoOrder) {
   EXPECT_GE(stats.wait.total, 4);  // 1 immediate + 3 queued grants.
 }
 
-TEST(TicketHolderTest, TryAcquireCannotStealFromQueuedWaiters) {
+TEST(TicketHolderTest, FastPathCannotStealFromQueuedWaiters) {
   TicketHolder pool("pool", 1);
-  ASSERT_TRUE(pool.TryAcquire());
+  ASSERT_TRUE(pool.Acquire(0.0).ok());
   std::thread waiter([&pool] { ASSERT_TRUE(pool.Acquire(10000.0).ok()); });
   WaitForWaiters(pool, 1);
 
-  // A free ticket appears via Resize while the waiter is queued. No
-  // matter how the wakeup races, TryAcquire must never jump the queue:
-  // either the waiter already took the ticket (pool full again) or the
-  // waiter is still queued (TryAcquire defers to it).
-  ASSERT_TRUE(pool.Resize(2).ok());
+  // A free ticket appears via Release while the waiter is queued. No
+  // matter how the wakeup races, the fast path must never jump the
+  // queue: either the waiter already took the ticket (pool full again)
+  // or the waiter is still queued (the fast path defers to it).
+  pool.Release();
   for (int i = 0; i < 100; ++i) {
-    if (pool.TryAcquire()) {
+    if (pool.Acquire(0.0).ok()) {
       // Only legal once the waiter has been granted (queue empty).
       EXPECT_EQ(pool.waiting(), 0);
       pool.Release();
@@ -139,33 +141,8 @@ TEST(TicketHolderTest, TryAcquireCannotStealFromQueuedWaiters) {
   }
   waiter.join();
   EXPECT_EQ(pool.waiting(), 0);
+  EXPECT_EQ(pool.used(), 1);  // The waiter's ticket, never a thief's.
   pool.Release();
-  pool.Release();
-}
-
-TEST(TicketHolderTest, ResizeGrowWakesWaiters) {
-  TicketHolder pool("pool", 1);
-  ASSERT_TRUE(pool.TryAcquire());
-  std::thread waiter([&pool] { ASSERT_TRUE(pool.Acquire(10000.0).ok()); });
-  WaitForWaiters(pool, 1);
-  ASSERT_TRUE(pool.Resize(2).ok());
-  waiter.join();
-  EXPECT_EQ(pool.used(), 2);
-  EXPECT_EQ(pool.capacity(), 2);
-}
-
-TEST(TicketHolderTest, ResizeShrinkNeverInvalidatesHeldTickets) {
-  TicketHolder pool("pool", 4);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(pool.TryAcquire());
-  ASSERT_TRUE(pool.Resize(1).ok());
-  EXPECT_EQ(pool.used(), 3);      // Held tickets survive.
-  EXPECT_EQ(pool.available(), 0); // But no new grants...
-  EXPECT_FALSE(pool.TryAcquire());
-  pool.Release();
-  pool.Release();
-  EXPECT_FALSE(pool.TryAcquire());  // Still over the new bound.
-  pool.Release();
-  EXPECT_TRUE(pool.TryAcquire());   // Back under: one ticket again.
 }
 
 TEST(TicketHolderTest, NoStarvationUnderOpportunisticLoad) {
@@ -176,12 +153,12 @@ TEST(TicketHolderTest, NoStarvationUnderOpportunisticLoad) {
   for (int i = 0; i < 2; ++i) {
     hammers.emplace_back([&pool, &stop] {
       while (!stop.load(std::memory_order_relaxed)) {
-        if (pool.TryAcquire()) pool.Release();
+        if (pool.Acquire(0.0).ok()) pool.Release();
       }
     });
   }
-  // Queued waiters must still all get through: TryAcquire cannot steal
-  // a release out from under the FIFO queue.
+  // Queued waiters must still all get through: the fast path cannot
+  // steal a release out from under the FIFO queue.
   std::atomic<int> granted{0};
   std::vector<std::thread> waiters;
   for (int i = 0; i < 8; ++i) {
