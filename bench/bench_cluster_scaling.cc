@@ -1,14 +1,7 @@
 // Copyright 2026 The streambid Authors
 // Cluster scaling bench. Two experiments:
 //
-//  1. Parallel admission speedup — the Table IV runtime workload
-//     (2000-query instances at max sharing degree 5) submitted as one
-//     batch, serial AdmissionService::AdmitBatch vs the cluster
-//     AdmissionExecutor at 1/2/4/8 workers, with a byte-identity check
-//     (the determinism contract) and the executor's per-mechanism
-//     rolling stats.
-//
-//  2. One big center vs N shards at equal total capacity — the sharded
+//  1. One big center vs N shards at equal total capacity — the sharded
 //     multi-center question: for each mechanism and routing policy, the
 //     same tenant book runs three subscription periods against a
 //     1-shard and a 4-shard ClusterCenter and we compare aggregate
@@ -17,15 +10,18 @@
 //     shared with co-located tenants), which is exactly the profit
 //     tension the paper's single-center model cannot see.
 //
+//  2. Barriered vs pipelined periods — the same 4-shard cluster run
+//     through RunPeriodBarriered and RunPeriod, with a byte-identity
+//     CHECK on the reports and the wall-clock speedup written to
+//     BENCH_cluster_scaling.json.
+//
 // Scales with the usual STREAMBID_* env knobs (see bench_common.h).
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "cluster/admission_executor.h"
 #include "cluster/cluster_center.h"
 #include "common/table.h"
 #include "common/timer.h"
@@ -36,95 +32,7 @@ namespace {
 
 using namespace streambid;
 
-// --- Experiment 1: parallel admission speedup. -----------------------
-
-bool SameAllocations(const std::vector<service::AdmissionResponse>& a,
-                     const std::vector<service::AdmissionResponse>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].allocation.admitted != b[i].allocation.admitted ||
-        a[i].allocation.payments != b[i].allocation.payments) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void RunSpeedupExperiment(const bench::BenchConfig& config) {
-  std::printf("\n== Parallel admission: serial AdmitBatch vs "
-              "AdmitBatchParallel ==\n");
-  // The Table IV regime: max sharing degree 5 keeps the scaled capacity
-  // binding (without it every mechanism short-circuits).
-  workload::WorkloadSet ws(config.params, /*seed=*/0xABCDu);
-  const auction::AuctionInstance& instance = ws.InstanceAt(5);
-  const double capacity = 15000.0 * config.queries / 2000.0;
-
-  // The fast Table IV mechanisms (the movement-window skip-variants are
-  // measured by bench_table4_runtime; at full scale they would dominate
-  // the batch and measure themselves, not the executor).
-  const std::vector<std::string> mechanisms = {
-      "random", "gv", "two-price", "caf", "cat", "car", "opt-c"};
-  const int trials = config.trials * 8;
-  std::vector<service::AdmissionRequest> requests;
-  for (const std::string& name : mechanisms) {
-    for (int t = 0; t < trials; ++t) {
-      service::AdmissionRequest request;
-      request.instance = &instance;
-      request.capacity = capacity;
-      request.mechanism = name;
-      request.seed = 0xD00Du;
-      request.request_index = static_cast<uint32_t>(t);
-      requests.push_back(std::move(request));
-    }
-  }
-  std::printf("# %zu requests (%zu mechanisms x %d trials), %d queries, "
-              "capacity %.0f\n",
-              requests.size(), mechanisms.size(), trials, config.queries,
-              capacity);
-  std::printf("# hardware threads: %u (speedup is bounded by physical "
-              "cores; identity must hold regardless)\n",
-              std::thread::hardware_concurrency());
-
-  service::AdmissionService serial_service;
-  Timer timer;
-  const auto serial = serial_service.AdmitBatch(requests);
-  const double serial_ms = timer.ElapsedMillis();
-  STREAMBID_CHECK(serial.ok());
-
-  TextTable table({"threads", "ms", "speedup", "identical"});
-  table.AddRow({"serial", FormatDouble(serial_ms, 1), "1.00", "-"});
-  cluster::ExecutorStats stats;
-  for (int threads : {1, 2, 4, 8}) {
-    cluster::AdmissionExecutor executor(
-        cluster::ExecutorOptions{threads});
-    timer.Start();
-    const auto parallel = executor.AdmitBatchParallel(requests);
-    const double parallel_ms = timer.ElapsedMillis();
-    STREAMBID_CHECK(parallel.ok());
-    const bool identical = SameAllocations(*serial, *parallel);
-    STREAMBID_CHECK(identical);  // The determinism contract.
-    table.AddRow({std::to_string(threads), FormatDouble(parallel_ms, 1),
-                  FormatDouble(serial_ms / parallel_ms, 2),
-                  identical ? "yes" : "NO"});
-    stats = executor.StatsReport();
-  }
-  std::fputs(table.ToAligned().c_str(), stdout);
-
-  std::printf("\n# executor rolling stats (8-thread run)\n");
-  TextTable stats_table({"mechanism", "count", "admit_rate", "util",
-                         "mean_ms", "max_ms", "overruns"});
-  for (const auto& [name, m] : stats.per_mechanism) {
-    stats_table.AddRow({name, std::to_string(m.count),
-                        FormatDouble(m.admit_rate.mean(), 3),
-                        FormatDouble(m.utilization.mean(), 3),
-                        FormatDouble(m.elapsed_ms.mean(), 3),
-                        FormatDouble(m.elapsed_ms.max(), 3),
-                        std::to_string(m.deadline_overruns)});
-  }
-  std::fputs(stats_table.ToAligned().c_str(), stdout);
-}
-
-// --- Experiment 2: one big center vs N shards. -----------------------
+// --- Experiment 1: one big center vs N shards. -----------------------
 
 struct TenantBookEntry {
   int id;
@@ -261,7 +169,7 @@ void RunShardingExperiment(const bench::BenchConfig& config) {
               "quantifies the paper's sharing effect at cluster scale\n");
 }
 
-// --- Experiment 3: barriered vs pipelined periods. -------------------
+// --- Experiment 2: barriered vs pipelined periods. -------------------
 
 bool SameClusterReports(const cluster::ClusterPeriodReport& a,
                         const cluster::ClusterPeriodReport& b) {
@@ -361,10 +269,9 @@ void RunPipelineExperiment(const bench::BenchConfig& config) {
 
 int main() {
   bench::BenchConfig config = bench::LoadConfig();
-  bench::PrintBanner("cluster scaling: parallel admission + sharded "
-                     "multi-center + period pipelining",
+  bench::PrintBanner("cluster scaling: sharded multi-center + period "
+                     "pipelining",
                      config);
-  RunSpeedupExperiment(config);
   RunShardingExperiment(config);
   RunPipelineExperiment(config);
   return 0;

@@ -1,13 +1,15 @@
 // Copyright 2026 The streambid Authors
 // The cluster layer in one page: a 2-shard ClusterCenter routing tenant
-// submissions by least-loaded, running each period as per-shard
-// prepare -> admit -> complete chains on the executor's persistent
-// TaskExecutor pool (no per-period threads), and merging the shard
-// reports.
+// submissions by least-loaded, running each shard's period (prepare ->
+// admit on the shard's own service -> complete) as one task on the
+// executor's persistent TaskExecutor pool (no per-period threads), and
+// merging the shard reports.
 //
 // Build & run:  ./build/examples/cluster_quickstart
 
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "cluster/cluster_center.h"
 #include "common/table.h"
@@ -82,17 +84,33 @@ int main() {
   std::printf("total revenue: $%.2f across %d shards\n",
               cluster.total_revenue(), cluster.num_shards());
 
-  // The executor's rolling stats double as the service observability
-  // surface: every shard auction it ran is folded in per mechanism,
-  // and the generic pool counters show where the period chains landed.
-  const cluster::ExecutorStats stats =
-      cluster.executor().StatsReport();
-  for (const auto& [name, m] : stats.per_mechanism) {
-    std::printf("mechanism %s: %lld auctions, mean admit rate %.2f, "
-                "mean %.3f ms\n",
-                name.c_str(), static_cast<long long>(m.count),
-                m.admit_rate.mean(), m.elapsed_ms.mean());
+  // Each shard auctions on its own AdmissionService, and its period
+  // report carries the auction: summarize them per mechanism. The pool
+  // counters show where the per-shard period tasks ran.
+  struct AuctionSummary {
+    int count = 0;
+    double admit_rate_sum = 0.0;
+    double elapsed_ms_sum = 0.0;
+  };
+  std::map<std::string, AuctionSummary> auctions;
+  for (const cluster::ClusterPeriodReport& report : cluster.history()) {
+    for (const cloud::PeriodReport& shard : report.shard_reports) {
+      if (shard.submissions == 0) continue;  // No auction this period.
+      AuctionSummary& summary = auctions[shard.mechanism];
+      ++summary.count;
+      summary.admit_rate_sum +=
+          static_cast<double>(shard.admitted) / shard.submissions;
+      summary.elapsed_ms_sum += shard.auction_elapsed_ms;
+    }
   }
+  for (const auto& [name, summary] : auctions) {
+    std::printf("mechanism %s: %d auctions, mean admit rate %.2f, "
+                "mean %.3f ms\n",
+                name.c_str(), summary.count,
+                summary.admit_rate_sum / summary.count,
+                summary.elapsed_ms_sum / summary.count);
+  }
+  const cluster::ExecutorStats stats = cluster.executor().StatsReport();
   for (size_t w = 0; w < stats.tasks_per_worker.size(); ++w) {
     std::printf("pool worker %zu ran %lld period tasks\n", w,
                 static_cast<long long>(stats.tasks_per_worker[w]));

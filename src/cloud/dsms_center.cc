@@ -17,6 +17,7 @@ DsmsCenter::DsmsCenter(const DsmsCenterOptions& options,
     : options_(options), engine_(engine) {
   STREAMBID_CHECK(engine != nullptr);
   STREAMBID_CHECK(service_.HasMechanism(options.mechanism));
+  service_.set_metrics(options_.metrics);
   if (options_.autoscale.enabled) {
     autoscaler_.emplace(options_.autoscale, engine_->options().capacity);
     // The controller may clamp the baseline into its bounds; the engine
@@ -121,9 +122,9 @@ Result<PreparedAuction> DsmsCenter::PrepareAuction() {
 
   // Closed loop: the autoscaler re-provisions the engine for the
   // upcoming period from its observation window and the period's own
-  // demand. This runs on the caller's thread against the center's own
-  // service (the cluster layer prepares shards serially), so the
-  // decision replays byte-identically at any executor pool size.
+  // demand. Its what-if auctions run on the center's own service, and
+  // the decision is a function of center-local state only, so it
+  // replays byte-identically on whatever thread runs the period.
   if (autoscaler_) {
     telemetry::ScopedSpan span(options_.tracer,
                                telemetry::Phase::kAutoscale,
@@ -246,11 +247,26 @@ Result<PeriodReport> DsmsCenter::CompletePeriod(
 }
 
 Result<PeriodReport> DsmsCenter::RunPeriod() {
-  STREAMBID_ASSIGN_OR_RETURN(PreparedAuction prepared, PrepareAuction());
-  if (!prepared.has_auction) return CompletePeriod(nullptr);
-  STREAMBID_ASSIGN_OR_RETURN(service::AdmissionResponse response,
-                             service_.Admit(prepared.request));
-  return CompletePeriod(&response);
+  // Logical span key: this center's period number, fixed before any
+  // phase mutates state.
+  const int period = static_cast<int>(history_.size());
+  telemetry::PeriodTracer* tracer = options_.tracer;
+  const int shard = options_.shard_index;
+  PreparedAuction prepared;
+  {
+    telemetry::ScopedSpan span(tracer, telemetry::Phase::kPrepare, period,
+                               shard, trace_epoch_);
+    STREAMBID_ASSIGN_OR_RETURN(prepared, PrepareAuction());
+  }
+  service::AdmissionResponse response;
+  if (prepared.has_auction) {
+    telemetry::ScopedSpan span(tracer, telemetry::Phase::kAdmit, period,
+                               shard, trace_epoch_);
+    STREAMBID_ASSIGN_OR_RETURN(response, service_.Admit(prepared.request));
+  }
+  telemetry::ScopedSpan span(tracer, telemetry::Phase::kComplete, period,
+                             shard, trace_epoch_);
+  return CompletePeriod(prepared.has_auction ? &response : nullptr);
 }
 
 }  // namespace streambid::cloud

@@ -4,8 +4,10 @@
 // capacity among submitted continuous queries, installs the winners into
 // the stream engine through the §II transition phase, executes the
 // period, and bills the winners the mechanism's payments. Auctions run
-// through an AdmissionService; the per-period request stream is
-// (options.seed, period), so any period's auction replays in isolation.
+// on the center's own AdmissionService; the per-period request stream
+// is (options.seed, period), so any period's auction replays in
+// isolation. The cluster layer runs one center per shard and calls
+// each shard's RunPeriod as one task on its executor pool.
 
 #ifndef STREAMBID_CLOUD_DSMS_CENTER_H_
 #define STREAMBID_CLOUD_DSMS_CENTER_H_
@@ -51,16 +53,20 @@ struct DsmsCenterOptions {
   /// Optional telemetry sink. When set, every period publishes the
   /// center's business series — revenue, energy cost, shed fraction,
   /// provisioned capacity, admitted/submitted counts, and the
-  /// autoscaler's capacity decisions — labeled {shard="<shard_index>"}.
-  /// Null disables publication entirely. Must outlive the center.
+  /// autoscaler's capacity decisions — labeled {shard="<shard_index>"},
+  /// and the center's AdmissionService publishes its unlabeled
+  /// service_admissions / service_admit_latency series. Null disables
+  /// publication entirely. Must outlive the center.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// The label value for this center's metric series (the cluster layer
   /// passes the shard index; standalone centers default to 0).
   int shard_index = 0;
-  /// Optional period tracer: when set and autoscaling is enabled,
-  /// PrepareAuction records one kAutoscale span per period (shard =
-  /// shard_index, epoch = set_trace_epoch's value). Null disables.
-  /// Must outlive the center.
+  /// Optional period tracer. When set, RunPeriod records one kPrepare,
+  /// one kAdmit (only when the period has an auction) and one kComplete
+  /// span per period, and PrepareAuction records a kAutoscale span when
+  /// autoscaling is enabled. Every span is keyed by (history size at
+  /// entry, shard_index, set_trace_epoch's value). Null disables. Must
+  /// outlive the center.
   telemetry::PeriodTracer* tracer = nullptr;
 };
 
@@ -138,9 +144,9 @@ class BillingLedger {
 /// The auction inputs for one period boundary, built from the pending
 /// submissions. The admission request's instance points into `build`,
 /// which is heap-held so the struct stays valid across moves — the
-/// cluster layer collects one of these per shard, runs the requests
-/// through its parallel executor, and hands each response back to
-/// CompletePeriod.
+/// cluster's barriered reference period collects one of these per
+/// shard, admits each on that shard's own service, and hands each
+/// response back to CompletePeriod.
 struct PreparedAuction {
   /// False when no submissions are pending (the period still runs:
   /// CompletePeriod(nullptr) expires active queries and executes).
@@ -184,7 +190,9 @@ class DsmsCenter {
   /// Queries run for exactly one period; users must resubmit to renew
   /// (see SubscriptionManager for the §VII multi-period extension).
   /// Equivalent to PrepareAuction + Admit on the own service +
-  /// CompletePeriod.
+  /// CompletePeriod, each phase traced (see DsmsCenterOptions::tracer).
+  /// May run on any thread under the same serialization contract as
+  /// PrepareAuction: the cluster layer runs it on a pool worker.
   Result<PeriodReport> RunPeriod();
 
   /// Builds this period's auction instance and admission request from
@@ -197,15 +205,15 @@ class DsmsCenter {
   /// once per period.
   ///
   /// Thread placement: PrepareAuction and CompletePeriod may run on any
-  /// thread (the cluster layer schedules them on its TaskExecutor pool
-  /// workers), as long as calls against one center are externally
-  /// serialized — the center itself is not thread-safe. Both are
-  /// deterministic functions of center-local state, so placement never
-  /// changes a report.
+  /// thread (the cluster's barriered reference period completes shards
+  /// on its TaskExecutor pool workers), as long as calls against one
+  /// center are externally serialized — the center itself is not
+  /// thread-safe. Both are deterministic functions of center-local
+  /// state, so placement never changes a report.
   Result<PreparedAuction> PrepareAuction();
 
   /// Sets the logical epoch stamped onto this center's trace spans (the
-  /// cluster layer forwards its period epoch before each PrepareAuction;
+  /// cluster layer forwards its period epoch before each RunPeriod;
   /// standalone centers can leave the default 0). Same serialization
   /// contract as PrepareAuction.
   void set_trace_epoch(uint64_t epoch) { trace_epoch_ = epoch; }
@@ -286,7 +294,7 @@ class DsmsCenter {
   telemetry::Gauge* energy_cost_metric_ = nullptr;
   telemetry::Gauge* shed_fraction_metric_ = nullptr;
   telemetry::Gauge* capacity_metric_ = nullptr;
-  /// Epoch stamped onto kAutoscale spans (see set_trace_epoch).
+  /// Epoch stamped onto this center's spans (see set_trace_epoch).
   uint64_t trace_epoch_ = 0;
 };
 

@@ -109,53 +109,23 @@ BatchSubmitOutcome ClusterCenter::SubmitBatch(
   return outcome;
 }
 
-Result<cloud::PeriodReport> ClusterCenter::RunShardPeriod(
-    int s, WorkerContext& context) {
-  cloud::DsmsCenter& center = *shards_[static_cast<size_t>(s)].center;
-  // Logical span key: the shard's own period number, fixed before any
-  // stage mutates center state.
-  const int period = static_cast<int>(center.history().size());
-  const uint64_t epoch = period_epoch_;
-  telemetry::PeriodTracer* tracer = options_.tracer;
-  center.set_trace_epoch(epoch);
-  // Stage 1: the autoscaled prepare (candidate grid + instance build)
-  // — shard-local, so fanning it onto the pool changes no outcome.
-  cloud::PreparedAuction prepared;
-  {
-    telemetry::ScopedSpan span(tracer, telemetry::Phase::kPrepare, period,
-                               s, epoch);
-    STREAMBID_ASSIGN_OR_RETURN(prepared, center.PrepareAuction());
-  }
-  // Stage 2: the auction, on this worker's own service. The
-  // (seed + shard, period) request stream makes the response identical
-  // to any other service running it.
-  const service::AdmissionResponse* response = nullptr;
-  service::AdmissionResponse admitted;
-  if (prepared.has_auction) {
-    telemetry::ScopedSpan span(tracer, telemetry::Phase::kAdmit, period, s,
-                               epoch);
-    STREAMBID_ASSIGN_OR_RETURN(
-        admitted, executor_.AdmitOn(context, prepared.request));
-    response = &admitted;
-  }
-  // Stage 3: transition + engine execution + billing.
-  telemetry::ScopedSpan span(tracer, telemetry::Phase::kComplete, period, s,
-                             epoch);
-  return center.CompletePeriod(response);
-}
-
 Result<ClusterPeriodReport> ClusterCenter::RunPeriod() {
   const Timer timer;
   ++period_epoch_;
-  std::vector<TaskExecutor::Task<cloud::PeriodReport>> chains;
-  chains.reserve(shards_.size());
-  for (int s = 0; s < num_shards(); ++s) {
-    chains.push_back([this, s](WorkerContext& context) {
-      return RunShardPeriod(s, context);
+  // Each task touches only its own shard; the epoch is read here, and
+  // this thread does not change it while RunAll blocks.
+  const uint64_t epoch = period_epoch_;
+  std::vector<TaskExecutor::Task<cloud::PeriodReport>> periods;
+  periods.reserve(shards_.size());
+  for (Shard& shard : shards_) {
+    cloud::DsmsCenter* center = shard.center.get();
+    periods.push_back([center, epoch] {
+      center->set_trace_epoch(epoch);
+      return center->RunPeriod();
     });
   }
   STREAMBID_ASSIGN_OR_RETURN(std::vector<cloud::PeriodReport> completed,
-                             executor_.tasks().RunAll(std::move(chains)));
+                             executor_.RunAll(std::move(periods)));
   return MergeCompleted(std::move(completed), timer);
 }
 
@@ -174,17 +144,23 @@ Result<ClusterPeriodReport> ClusterCenter::RunPeriodBarriered() {
     prepared.push_back(std::move(p));
   }
 
-  // --- Phase 2: all shard auctions as one parallel batch. ---
-  std::vector<service::AdmissionRequest> requests;
-  std::vector<int> owner;  // requests[k] belongs to shard owner[k].
+  // --- Phase 2: every shard auction on its own shard's service, as
+  // one pooled fan-out. ---
+  std::vector<int> owner;  // Task k admits shard owner[k]'s auction.
+  std::vector<TaskExecutor::Task<service::AdmissionResponse>> auctions;
   for (int s = 0; s < n; ++s) {
     if (!prepared[static_cast<size_t>(s)].has_auction) continue;
-    requests.push_back(prepared[static_cast<size_t>(s)].request);
     owner.push_back(s);
+    cloud::DsmsCenter* center = shards_[static_cast<size_t>(s)].center.get();
+    const service::AdmissionRequest* request =
+        &prepared[static_cast<size_t>(s)].request;
+    auctions.push_back([center, request] {
+      return center->admission_service().Admit(*request);
+    });
   }
   STREAMBID_ASSIGN_OR_RETURN(
       const std::vector<service::AdmissionResponse> responses,
-      executor_.AdmitBatchParallel(requests));
+      executor_.RunAll(std::move(auctions)));
   std::vector<const service::AdmissionResponse*> response_of(
       static_cast<size_t>(n), nullptr);
   for (size_t k = 0; k < owner.size(); ++k) {
@@ -201,14 +177,14 @@ Result<ClusterPeriodReport> ClusterCenter::RunPeriodBarriered() {
   for (int s = 0; s < n; ++s) {
     const service::AdmissionResponse* response =
         response_of[static_cast<size_t>(s)];
-    completions.push_back([this, s, response](WorkerContext&) {
+    completions.push_back([this, s, response] {
       return shards_[static_cast<size_t>(s)].center->CompletePeriod(
           response);
     });
   }
   STREAMBID_ASSIGN_OR_RETURN(
       std::vector<cloud::PeriodReport> completed,
-      executor_.tasks().RunAll(std::move(completions)));
+      executor_.RunAll(std::move(completions)));
   return MergeCompleted(std::move(completed), timer);
 }
 

@@ -1,21 +1,21 @@
 // Copyright 2026 The streambid Authors
 // The sharded multi-center deployment: N DsmsCenters (each with its own
-// engine at total_capacity / N) behind a ShardRouter, with every period
-// stage — autoscaled prepare, admission, completion — running on the
-// executor's persistent worker pool (one FIFO queue that every worker
-// drains) and the per-shard PeriodReports merged into a
-// ClusterPeriodReport. No per-period threads are ever spawned, and
-// shards flow through their stages independently instead of barriering
-// between phases.
+// engine at total_capacity / N and its own AdmissionService) behind a
+// ShardRouter, with every shard's period running on the executor's
+// persistent worker pool (one FIFO queue that every worker drains) and
+// the per-shard PeriodReports merged into a ClusterPeriodReport. No
+// per-period threads are ever spawned, and shards flow through their
+// stages independently instead of barriering between phases.
 //
-// A period is one dependency chain per shard, handed to the pool as one
-// blocking TaskExecutor::RunAll fan-out:
+// A period is one task per shard, handed to the pool as one blocking
+// TaskExecutor::RunAll fan-out. Each task is the shard's own
+// DsmsCenter::RunPeriod:
 //
-//   shard k:  PrepareAuction ──▶ Admit (worker service) ──▶ CompletePeriod
-//             (autoscaler grid)                             (transition +
-//                                                            engine + bill)
+//   shard k:  PrepareAuction ──▶ Admit (shard's service) ──▶ CompletePeriod
+//             (autoscaler grid)                              (transition +
+//                                                             engine + bill)
 //
-// Chains are mutually independent (a shard's service, engine, ledger,
+// Tasks are mutually independent (a shard's service, engine, ledger,
 // and autoscaler are private to it), so shard k's engine execution
 // overlaps shard k+1's auction. Every stage is a deterministic function
 // of shard-local state — the (seed + shard, period) request streams
@@ -32,8 +32,9 @@
 //
 // Surfaces: RunPeriod() runs one pipelined period and returns when it
 // is merged; RunPeriodBarriered() keeps the lock-step reference
-// implementation (serial prepare, one parallel admission batch, pooled
-// completion) for identity tests and the pipelining bench.
+// implementation (serial prepare, pooled admission on each shard's own
+// service, pooled completion) for identity tests and the pipelining
+// bench.
 
 #ifndef STREAMBID_CLUSTER_CLUSTER_CENTER_H_
 #define STREAMBID_CLUSTER_CLUSTER_CENTER_H_
@@ -48,9 +49,9 @@
 #include <unordered_map>
 
 #include "cloud/dsms_center.h"
-#include "cluster/admission_executor.h"
 #include "cluster/shard_rebalancer.h"
 #include "cluster/shard_router.h"
+#include "cluster/task_executor.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "stream/engine.h"
@@ -110,17 +111,17 @@ struct ClusterOptions {
   /// traffic, and therefore its signal, is exact again).
   RebalancerOptions rebalance;
   /// Optional telemetry sink, fanned through every layer the cluster
-  /// owns: the executor (queue depth, task latency), each worker's
-  /// admission service, and each shard's DsmsCenter (per-shard labeled
-  /// business series), plus the cluster's own period/migration
-  /// counters. Null (the default) disables all of it. Must outlive the
-  /// cluster.
+  /// owns: the executor (queue depth, task latency), each shard's
+  /// DsmsCenter (per-shard labeled business series) and its admission
+  /// service, plus the cluster's own period/migration counters. Null
+  /// (the default) disables all of it. Must outlive the cluster.
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Optional period tracer. When set, the pipelined period path
-  /// records one span per (period, shard, phase): prepare, admit,
-  /// complete on the workers, plus the cluster-level rebalance stage
-  /// (shard -1). Spans are write-only annotations — replay identity is
-  /// unchanged with tracing on or off. Must outlive the cluster.
+  /// records one span per (period, shard, phase): each shard's
+  /// DsmsCenter::RunPeriod records prepare, admit and complete on the
+  /// workers, and the cluster records the rebalance stage (shard -1).
+  /// Spans are write-only annotations — replay identity is unchanged
+  /// with tracing on or off. Must outlive the cluster.
   telemetry::PeriodTracer* tracer = nullptr;
 };
 
@@ -193,23 +194,25 @@ class ClusterCenter {
   /// successors.
   BatchSubmitOutcome SubmitBatch(std::vector<stream::QuerySubmission> batch);
 
-  /// Runs every shard's period chain (prepare -> admit -> complete) as
-  /// one executor fan-out and blocks until all finish; then refreshes
-  /// the router's view, merges the shard reports, appends to history(),
-  /// and runs the rebalance stage. A failed chain surfaces as the
-  /// lowest-shard-index error.
+  /// Runs every shard's DsmsCenter::RunPeriod (prepare -> admit ->
+  /// complete) as one executor fan-out and blocks until all finish;
+  /// then refreshes the router's view, merges the shard reports,
+  /// appends to history(), and runs the rebalance stage. A failed shard
+  /// surfaces as the lowest-shard-index error.
   Result<ClusterPeriodReport> RunPeriod();
 
   /// The lock-step reference implementation the pipelined path is
-  /// byte-compared against: serial prepare over all shards, one
-  /// AdmitBatchParallel, then pooled completion tasks with a barrier
-  /// between phases. Same merged report (timing aside), more idle time.
+  /// byte-compared against: serial prepare over all shards, one pooled
+  /// fan-out admitting each shard's auction on that shard's own
+  /// service, then pooled completion tasks, with a barrier between
+  /// phases. Same merged report (timing aside), more idle time. Records
+  /// no prepare/admit/complete spans.
   Result<ClusterPeriodReport> RunPeriodBarriered();
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const ClusterOptions& options() const { return options_; }
   const ShardRouter& router() const { return router_; }
-  AdmissionExecutor& executor() { return executor_; }
+  TaskExecutor& executor() { return executor_; }
   const cloud::DsmsCenter& shard(int s) const {
     return *shards_[static_cast<size_t>(s)].center;
   }
@@ -244,12 +247,6 @@ class ClusterCenter {
     std::unique_ptr<cloud::DsmsCenter> center;
   };
 
-  /// Shard s's whole period, run as one task on a pool worker: the
-  /// autoscaled prepare, the auction on the worker's own service (via
-  /// AdmitOn, so it lands in the rolling stats), and the completion.
-  /// Touches only shard-local state plus the worker context; reads
-  /// period_epoch_, which the blocked RunPeriod caller does not change.
-  Result<cloud::PeriodReport> RunShardPeriod(int s, WorkerContext& context);
   /// The serial tail both period variants share: refresh the router's
   /// per-shard view, merge the reports, append to history, and run the
   /// rebalance stage. `completed` is indexed by shard.
@@ -287,7 +284,7 @@ class ClusterCenter {
   telemetry::Counter* migrated_tenants_metric_ = nullptr;
   /// Declared last: members destroy in reverse declaration order, so the
   /// pool's workers are joined before the shards they run against.
-  AdmissionExecutor executor_;
+  TaskExecutor executor_;
 };
 
 }  // namespace streambid::cluster

@@ -34,11 +34,6 @@ TaskExecutor::TaskExecutor(const ExecutorOptions& options) {
     ring_.resize(kInitialRingCapacity);
     executed_per_worker_.assign(static_cast<size_t>(n), 0);
   }
-  services_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    services_.push_back(std::make_unique<service::AdmissionService>());
-    services_.back()->set_metrics(options.metrics);
-  }
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -76,9 +71,6 @@ void TaskExecutor::PushLocked(WorkItem item) {
 }
 
 void TaskExecutor::WorkerLoop(int worker_id) {
-  WorkerContext context;
-  context.worker_id = worker_id;
-  context.service = services_[static_cast<size_t>(worker_id)].get();
   for (;;) {
     WorkItem item;
     {
@@ -95,7 +87,7 @@ void TaskExecutor::WorkerLoop(int worker_id) {
     // Execute outside the lock: the closure is the expensive part, and
     // it writes only its own slot of the batch's result vector.
     const Timer task_timer;
-    const bool ok = item.batch->Run(item.index, context);
+    const bool ok = item.batch->Run(item.index);
     if (task_latency_metric_ != nullptr) {
       task_latency_metric_->Record(task_timer.ElapsedMillis() * 1000.0);
     }
@@ -123,8 +115,8 @@ void TaskExecutor::RunBatch(Batch& batch, size_t size) {
   while (batch.remaining > 0) done_cv_.Wait(mutex_);
 }
 
-TaskExecutorStats TaskExecutor::StatsReport() const {
-  TaskExecutorStats stats;
+ExecutorStats TaskExecutor::StatsReport() const {
+  ExecutorStats stats;
   MutexLock lock(mutex_);
   stats.submitted = submitted_;
   stats.failed = failed_;
@@ -133,6 +125,7 @@ TaskExecutorStats TaskExecutor::StatsReport() const {
   for (const int64_t executed : executed_per_worker_) {
     stats.executed += executed;
   }
+  stats.tasks_local = stats.executed;
   return stats;
 }
 

@@ -1,12 +1,9 @@
 // Copyright 2026 The streambid Authors
-// The generic task runtime of the cluster layer: a fixed pool of
-// persistent worker threads that runs arbitrary closures, not just
-// admission auctions. Each worker owns a WorkerContext — its worker id
-// plus its own AdmissionService (and therefore its own AuctionContext
-// scratch arena) — so admission work scheduled here still honors the
-// "shard one service per thread" rule, while non-admission stages
-// (auction preparation, engine execution, billing) share the same pool
-// instead of spawning ad-hoc threads.
+// The task runtime of the cluster layer: a fixed pool of persistent
+// worker threads that runs argument-less closures. The cluster hands it
+// one task per shard per period (the shard's whole DsmsCenter period,
+// auction included, on the shard's own AdmissionService), so no stage
+// spawns ad-hoc threads.
 //
 // The one entry point is RunAll: a blocking batch fan-out. The caller
 // queues one {batch, index} item per task and sleeps until every item
@@ -31,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -39,7 +35,6 @@
 #include "common/lock_order.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "service/admission_service.h"
 
 namespace streambid::telemetry {
 class Counter;
@@ -58,23 +53,13 @@ struct ExecutorOptions {
   int num_threads = 0;
   /// Optional telemetry sink. When set, the executor publishes
   /// executor_tasks_executed / executor_queue_depth /
-  /// executor_task_latency, and each worker's AdmissionService records
-  /// its per-admission series into the same registry. Null disables all
-  /// of it at zero hot-path cost. Must outlive the executor.
+  /// executor_task_latency. Null disables all of it at zero hot-path
+  /// cost. Must outlive the executor.
   telemetry::MetricsRegistry* metrics = nullptr;
 };
 
-/// Worker-local state handed to every task. The service is owned by the
-/// worker (one per thread, never shared), so tasks may run admission
-/// auctions on it without synchronization — but must not stash the
-/// pointer beyond the task's own execution.
-struct WorkerContext {
-  int worker_id = 0;
-  service::AdmissionService* service = nullptr;
-};
-
 /// Snapshot returned by TaskExecutor::StatsReport().
-struct TaskExecutorStats {
+struct ExecutorStats {
   /// Tasks queued by RunAll calls.
   int64_t submitted = 0;
   /// Tasks a worker finished executing (sum of tasks_per_worker).
@@ -88,6 +73,11 @@ struct TaskExecutorStats {
   /// workers is structurally impossible, which is the "no threads
   /// outside the pool" observability hook the cluster tests assert.
   std::vector<int64_t> tasks_per_worker;
+  /// Equal to executed, and tasks_stolen is always 0: the pool has one
+  /// shared queue and nothing to steal from. Both are kept only for
+  /// perfbench's cluster.steal_frac.
+  int64_t tasks_local = 0;
+  int64_t tasks_stolen = 0;
 };
 
 /// Thread-pool task runtime. Thread-safe: any number of threads outside
@@ -97,11 +87,10 @@ struct TaskExecutorStats {
 /// returned.
 class TaskExecutor {
  public:
-  /// A unit of work: runs on some worker, sees that worker's context,
-  /// reports success or failure through Result<T>. T must be
-  /// copy-constructible.
+  /// A unit of work: runs on some worker and reports success or failure
+  /// through Result<T>. T must be copy-constructible.
   template <typename T>
-  using Task = std::function<Result<T>(WorkerContext&)>;
+  using Task = std::function<Result<T>()>;
 
   explicit TaskExecutor(const ExecutorOptions& options = {});
   /// Joins the workers. No RunAll is in flight (see the class comment),
@@ -112,19 +101,6 @@ class TaskExecutor {
   TaskExecutor& operator=(const TaskExecutor&) = delete;
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Worker w's admission service — exposed so facades can validate
-  /// requests against the same registry the workers execute with.
-  /// Const registry reads (Validate, HasMechanism, MechanismNames) are
-  /// safe concurrently with tasks running on worker w; anything that
-  /// can touch the service's mutable state (Admit and friends, which
-  /// reuse the AuctionContext scratch) must not race them.
-  service::AdmissionService& worker_service(int worker_id) {
-    return *services_[static_cast<size_t>(worker_id)];
-  }
-  const service::AdmissionService& worker_service(int worker_id) const {
-    return *services_[static_cast<size_t>(worker_id)];
-  }
 
   /// Runs every task and blocks until all finish; results are
   /// positionally aligned with the tasks. All tasks run even when some
@@ -144,7 +120,7 @@ class TaskExecutor {
   }
 
   /// Copies the runtime counters accumulated so far.
-  TaskExecutorStats StatsReport() const;
+  ExecutorStats StatsReport() const;
 
  private:
   /// The state one RunAll call shares with the workers, owned by the
@@ -158,7 +134,7 @@ class TaskExecutor {
     Batch(const Batch&) = delete;
     Batch& operator=(const Batch&) = delete;
     /// Runs item `index`, stores its result, and reports success.
-    virtual bool Run(size_t index, WorkerContext& context) = 0;
+    virtual bool Run(size_t index) = 0;
 
     size_t remaining = 0;
   };
@@ -168,8 +144,8 @@ class TaskExecutor {
     explicit TypedBatch(std::vector<Task<T>>& tasks)
         : results(tasks.size(), Status::Internal("not run")),
           tasks_(tasks) {}
-    bool Run(size_t index, WorkerContext& context) override {
-      results[index] = tasks_[index](context);
+    bool Run(size_t index) override {
+      results[index] = tasks_[index]();
       return results[index].ok();
     }
 
@@ -190,8 +166,6 @@ class TaskExecutor {
   /// Appends to the ring (growing it when full) and updates the queue
   /// counters.
   void PushLocked(WorkItem item) REQUIRES(mutex_);
-
-  std::vector<std::unique_ptr<service::AdmissionService>> services_;
 
   mutable Mutex mutex_ ACQUIRED_AFTER(kExecutorRankBoundary)
       ACQUIRED_BEFORE(kTelemetryRankBoundary) =

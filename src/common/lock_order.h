@@ -53,10 +53,7 @@ enum class LockRank : int {
   /// held across the FIFO grant protocol (and its condvar waits).
   kGateTicketPool = 110,
 
-  // -- Cluster layer ------------------------------------------------
-  /// AdmissionExecutor::WorkerStats::mutex — per-worker rolling-stats
-  /// shards (striped; never held together).
-  kClusterWorkerStats = 200,
+  // -- Cluster layer: no mutex of its own (rank 200 is free) --------
 
   // -- Executor layer -----------------------------------------------
   /// TaskExecutor::mutex_ — the FIFO queue, the batch completion
@@ -93,7 +90,6 @@ struct RankTableEntry {
 inline constexpr RankTableEntry kRankTable[] = {
     {LockRank::kGateIngress, "kGateIngress"},
     {LockRank::kGateTicketPool, "kGateTicketPool"},
-    {LockRank::kClusterWorkerStats, "kClusterWorkerStats"},
     {LockRank::kExecutor, "kExecutor"},
     {LockRank::kMetricsRegistry, "kMetricsRegistry"},
     {LockRank::kPeriodTracer, "kPeriodTracer"},

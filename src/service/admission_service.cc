@@ -99,9 +99,6 @@ Result<AdmissionResponse> AdmissionService::Execute(
   diag.num_queries = instance.num_queries();
   diag.admitted_count = response.allocation.NumAdmitted();
   diag.rejected_count = diag.num_queries - diag.admitted_count;
-  diag.deadline_exceeded = request.options.time_budget_ms > 0.0 &&
-                           response.elapsed_ms >
-                               request.options.time_budget_ms;
 
   if (request.options.compute_metrics) {
     response.metrics =

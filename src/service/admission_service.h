@@ -6,8 +6,8 @@
 // timing, and structured diagnostics. The service owns the mechanism
 // registry and derives a deterministic, independent RNG stream per
 // request from (seed, request_index), so any request is replayable in
-// isolation — the property that makes batch sweeps, sharding, and async
-// submission (see ROADMAP) safe to add behind this API.
+// isolation — the property that lets batch sweeps and the sharded
+// cluster replay byte-identically on any thread.
 
 #ifndef STREAMBID_SERVICE_ADMISSION_SERVICE_H_
 #define STREAMBID_SERVICE_ADMISSION_SERVICE_H_
@@ -49,10 +49,6 @@ struct AdmissionOptions {
   /// with compute_metrics on hot paths (runtime benches, deviation
   /// sweeps); the cheap count diagnostics are always populated.
   bool compute_diagnostics = true;
-  /// Soft wall-clock budget in milliseconds; 0 disables. Mechanisms are
-  /// not preempted mid-run — an overrun is reported via
-  /// Diagnostics::deadline_exceeded so callers can shed or downgrade.
-  double time_budget_ms = 0.0;
 };
 
 /// One admission auction to run. The instance is borrowed and must
@@ -79,7 +75,6 @@ struct AdmissionDiagnostics {
   int num_queries = 0;
   int admitted_count = 0;
   int rejected_count = 0;
-  bool deadline_exceeded = false;             ///< See AdmissionOptions.
 };
 
 /// The outcome of one admission auction.
@@ -129,13 +124,6 @@ class AdmissionService {
 
   bool HasMechanism(std::string_view name) const;
 
-  /// Checks a request without running it: kInvalidArgument for a null
-  /// instance or negative capacity, kNotFound for an unknown mechanism.
-  /// Admit/AdmitBatch validate internally; this is exposed so batching
-  /// layers (the cluster AdmissionExecutor) can fail fast at enqueue
-  /// time with the same errors the serial path would produce.
-  Status Validate(const AdmissionRequest& request) const;
-
   /// Claimed Table-I properties of a registered mechanism; kNotFound
   /// for unknown names.
   Result<auction::MechanismProperties> Properties(
@@ -151,6 +139,9 @@ class AdmissionService {
   /// into service_admit_latency. Null (the default) disables both at
   /// zero cost. Many services may share one registry — the instruments
   /// are sharded internally. The registry must outlive the service.
+  /// A DsmsCenter wires its options.metrics into its own service, so
+  /// its autoscaler's what-if auctions count here too, next to the
+  /// period auctions.
   void set_metrics(telemetry::MetricsRegistry* metrics);
 
  private:
@@ -164,6 +155,9 @@ class AdmissionService {
   };
 
   const auction::Mechanism* Find(std::string_view name) const;
+  /// Checks a request without running it: kInvalidArgument for a null
+  /// instance or negative capacity, kNotFound for an unknown mechanism.
+  Status Validate(const AdmissionRequest& request) const;
   /// Runs a validated request against its resolved mechanism,
   /// including the optional feasibility re-check.
   Result<AdmissionResponse> Execute(const AdmissionRequest& request,

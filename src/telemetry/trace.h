@@ -41,7 +41,7 @@ enum class Phase : int {
   kGateDrain = 0,  ///< Gate buffer swap + SubmitBatch into the cluster.
   kPrepare = 1,    ///< Auction build (+ autoscaled candidate grid).
   kAutoscale = 2,  ///< The capacity decision inside prepare.
-  kAdmit = 3,      ///< The admission auction on a worker's service.
+  kAdmit = 3,      ///< The admission auction on the shard's service.
   kComplete = 4,   ///< Transition + engine execution + billing.
   kRebalance = 5,  ///< The period tail's migration plan + fan-out.
 };

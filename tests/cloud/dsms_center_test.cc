@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "stream/query_builder.h"
+#include "telemetry/trace.h"
 
 namespace streambid::cloud {
 namespace {
@@ -138,6 +139,29 @@ TEST_F(DsmsCenterTest, EmptyPeriodRunsCleanly) {
   EXPECT_EQ(report->admitted, 0);
   EXPECT_DOUBLE_EQ(report->revenue, 0.0);
   EXPECT_DOUBLE_EQ(engine_.now(), 3.0);
+}
+
+TEST_F(DsmsCenterTest, RunPeriodTracesPhasesUnderItsShardAndEpoch) {
+  // The cluster runs each shard's period through RunPeriod, so the
+  // center itself records the period's phases: one prepare, admit and
+  // complete span per period under its shard index and trace epoch,
+  // and no admit span when the period has no auction.
+  telemetry::PeriodTracer tracer;
+  DsmsCenterOptions options;
+  options.period_length = 3.0;
+  options.shard_index = 2;
+  options.tracer = &tracer;
+  DsmsCenter center(options, &engine_);
+  center.set_trace_epoch(7);
+  ASSERT_TRUE(center.Submit(MakeSubmission(1, 1, 50.0, 110.0)).ok());
+  ASSERT_TRUE(center.RunPeriod().ok());
+  ASSERT_TRUE(center.RunPeriod().ok());  // No submissions: no auction.
+  EXPECT_EQ(tracer.IdentitySequence(),
+            "period=0 shard=2 epoch=7 phase=prepare\n"
+            "period=0 shard=2 epoch=7 phase=admit\n"
+            "period=0 shard=2 epoch=7 phase=complete\n"
+            "period=1 shard=2 epoch=7 phase=prepare\n"
+            "period=1 shard=2 epoch=7 phase=complete\n");
 }
 
 TEST_F(DsmsCenterTest, MeasuredUtilizationReported) {

@@ -1,8 +1,8 @@
 // Copyright 2026 The streambid Authors
 // TaskExecutor contract tests: RunAll aligns results positionally and
-// surfaces the lowest-index failure, tasks see their worker's own
-// context, a single worker runs queued tasks in FIFO order, and
-// concurrent RunAll callers each get their own results back.
+// surfaces the lowest-index failure, a single worker runs queued tasks
+// in FIFO order, and concurrent RunAll callers each get their own
+// results back.
 
 #include "cluster/task_executor.h"
 
@@ -19,38 +19,12 @@
 namespace streambid::cluster {
 namespace {
 
-TEST(TaskExecutorTest, WorkerContextExposesWorkerLocalService) {
-  TaskExecutor executor(ExecutorOptions{3});
-  std::mutex mutex;
-  std::vector<const service::AdmissionService*> seen;
-  std::vector<int> ids;
-  std::vector<TaskExecutor::Task<bool>> tasks;
-  for (int i = 0; i < 12; ++i) {
-    tasks.push_back([&](WorkerContext& context) -> Result<bool> {
-      std::lock_guard<std::mutex> lock(mutex);
-      seen.push_back(context.service);
-      ids.push_back(context.worker_id);
-      return true;
-    });
-  }
-  ASSERT_TRUE(executor.RunAll(std::move(tasks)).ok());
-  ASSERT_EQ(seen.size(), 12u);
-  for (size_t k = 0; k < seen.size(); ++k) {
-    ASSERT_NE(seen[k], nullptr);
-    ASSERT_GE(ids[k], 0);
-    ASSERT_LT(ids[k], 3);
-    // The context service is the worker's own, never another worker's.
-    EXPECT_EQ(seen[k], &executor.worker_service(ids[k]));
-  }
-}
-
 TEST(TaskExecutorTest, RunAllAlignsPositionally) {
   for (int threads : {1, 2, 8}) {
     TaskExecutor executor(ExecutorOptions{threads});
     std::vector<TaskExecutor::Task<int>> tasks;
     for (int i = 0; i < 20; ++i) {
-      tasks.push_back(
-          [i](WorkerContext&) -> Result<int> { return i * i; });
+      tasks.push_back([i]() -> Result<int> { return i * i; });
     }
     const Result<std::vector<int>> results =
         executor.RunAll(std::move(tasks));
@@ -74,7 +48,7 @@ TEST(TaskExecutorTest, RunAllReportsLowestIndexFailure) {
   std::atomic<int> executed{0};
   std::vector<TaskExecutor::Task<int>> tasks;
   for (int i = 0; i < 8; ++i) {
-    tasks.push_back([i, &executed](WorkerContext&) -> Result<int> {
+    tasks.push_back([i, &executed]() -> Result<int> {
       ++executed;
       if (i == 2) return Status::Internal("boom at 2");
       if (i == 5) return Status::InvalidArgument("boom at 5");
@@ -88,7 +62,7 @@ TEST(TaskExecutorTest, RunAllReportsLowestIndexFailure) {
   EXPECT_EQ(results.status().message(), "boom at 2");
   // All tasks still ran; failure reporting does not cancel the batch.
   EXPECT_EQ(executed.load(), 8);
-  const TaskExecutorStats stats = executor.StatsReport();
+  const ExecutorStats stats = executor.StatsReport();
   EXPECT_EQ(stats.executed, 8);
   EXPECT_EQ(stats.failed, 2);
 }
@@ -98,7 +72,7 @@ TEST(TaskExecutorTest, ClosureErrorPropagatesThroughTicket) {
   // counts as one failed task, and leaves the pool serving.
   TaskExecutor executor(ExecutorOptions{1});
   std::vector<TaskExecutor::Task<int>> failing;
-  failing.push_back([](WorkerContext&) -> Result<int> {
+  failing.push_back([]() -> Result<int> {
     return Status::OutOfRange("task failed");
   });
   const Result<std::vector<int>> result =
@@ -106,12 +80,12 @@ TEST(TaskExecutorTest, ClosureErrorPropagatesThroughTicket) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(result.status().message(), "task failed");
-  TaskExecutorStats stats = executor.StatsReport();
+  ExecutorStats stats = executor.StatsReport();
   EXPECT_EQ(stats.failed, 1);
   EXPECT_EQ(stats.executed, 1);
 
   std::vector<TaskExecutor::Task<int>> next;
-  next.push_back([](WorkerContext&) -> Result<int> { return 7; });
+  next.push_back([]() -> Result<int> { return 7; });
   const Result<std::vector<int>> after = executor.RunAll(std::move(next));
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, std::vector<int>{7});
@@ -145,11 +119,11 @@ TEST(TaskExecutorTest, StatsTrackWorkersAndQueueHighWater) {
   TaskExecutor executor(ExecutorOptions{2});
   std::vector<TaskExecutor::Task<int>> tasks;
   for (int i = 0; i < 30; ++i) {
-    tasks.push_back([i](WorkerContext&) -> Result<int> { return i; });
+    tasks.push_back([i]() -> Result<int> { return i; });
   }
   ASSERT_TRUE(executor.RunAll(std::move(tasks)).ok());
 
-  const TaskExecutorStats stats = executor.StatsReport();
+  const ExecutorStats stats = executor.StatsReport();
   EXPECT_EQ(stats.submitted, 30);
   EXPECT_EQ(stats.executed, 30);
   EXPECT_EQ(stats.failed, 0);
@@ -170,7 +144,7 @@ std::thread RunAllInBackground(TaskExecutor& executor, int first,
   return std::thread([&executor, first, count, &order] {
     std::vector<TaskExecutor::Task<int>> tasks;
     for (int i = first; i < first + count; ++i) {
-      tasks.push_back([&order, i](WorkerContext&) -> Result<int> {
+      tasks.push_back([&order, i]() -> Result<int> {
         order.push_back(i);
         return i;
       });
@@ -190,7 +164,7 @@ TEST(TaskExecutorTest, SingleWorkerRunsTasksInSubmissionOrder) {
   Latch latch;
   std::thread blocker([&executor, &latch] {
     std::vector<TaskExecutor::Task<int>> tasks;
-    tasks.push_back([&latch](WorkerContext&) -> Result<int> {
+    tasks.push_back([&latch]() -> Result<int> {
       std::unique_lock<std::mutex> lock(latch.mutex);
       latch.started = true;
       latch.cv.notify_all();
@@ -233,7 +207,7 @@ TEST(TaskExecutorTest, StressEightWorkersRacingSubmittersAndBatches) {
         std::vector<TaskExecutor::Task<int>> tasks;
         for (int i = 0; i < size; ++i) {
           const int value = (c * kBatches + b) * kMaxBatchSize + i;
-          tasks.push_back([value](WorkerContext&) -> Result<int> {
+          tasks.push_back([value]() -> Result<int> {
             return value;
           });
         }
@@ -252,7 +226,7 @@ TEST(TaskExecutorTest, StressEightWorkersRacingSubmittersAndBatches) {
   }
   for (std::thread& t : callers) t.join();
 
-  const TaskExecutorStats stats = executor.StatsReport();
+  const ExecutorStats stats = executor.StatsReport();
   EXPECT_EQ(stats.submitted, tasks_run.load());
   EXPECT_EQ(stats.executed, stats.submitted);
   EXPECT_EQ(stats.failed, 0);

@@ -178,7 +178,6 @@ TEST(AdmissionServiceTest, DiagnosticsAndMetrics) {
   // q1+q2 admit operators A, B, C: 4 + 1 + 2 = 7 units.
   EXPECT_DOUBLE_EQ(diag.used_capacity, 7.0);
   EXPECT_DOUBLE_EQ(diag.capacity_utilization, 0.7);
-  EXPECT_FALSE(diag.deadline_exceeded);
   EXPECT_GE(response->elapsed_ms, 0.0);
   // Metrics computed by default, consistent with the allocation.
   EXPECT_DOUBLE_EQ(response->metrics.profit, 110.0);
@@ -213,18 +212,6 @@ TEST(AdmissionServiceTest, HotPathSkipsUsedCapacityDiagnostics) {
   EXPECT_EQ(response->diagnostics.admitted_count, 2);
   EXPECT_EQ(response->diagnostics.rejected_count, 1);
   EXPECT_TRUE(response->allocation.IsAdmitted(0));
-}
-
-TEST(AdmissionServiceTest, TinyTimeBudgetFlagsDeadline) {
-  AdmissionService service;
-  const auction::AuctionInstance instance = Example1();
-  AdmissionRequest request = MakeRequest(instance, "cat");
-  // Any positive elapsed time exceeds a denormal budget; the request
-  // still succeeds (soft deadline), but diagnostics flag the overrun.
-  request.options.time_budget_ms = 1e-300;
-  const auto response = service.Admit(request);
-  ASSERT_TRUE(response.ok());
-  EXPECT_TRUE(response->diagnostics.deadline_exceeded);
 }
 
 TEST(AdmissionServiceTest, FeasibilityCheckPasses) {
