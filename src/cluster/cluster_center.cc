@@ -132,6 +132,10 @@ Result<ClusterPeriodReport> ClusterCenter::RunPeriod() {
 Result<ClusterPeriodReport> ClusterCenter::RunPeriodBarriered() {
   const int n = num_shards();
   Timer timer;
+  // Stamped before any phase runs, so the autoscale spans in prepare
+  // and the rebalance span in the tail carry this period's epoch.
+  ++period_epoch_;
+  for (Shard& shard : shards_) shard.center->set_trace_epoch(period_epoch_);
 
   // --- Phase 1: every shard builds its auction (serial; with
   // autoscaling this includes the candidate-grid what-if auctions). ---

@@ -206,7 +206,8 @@ class ClusterCenter {
   /// fan-out admitting each shard's auction on that shard's own
   /// service, then pooled completion tasks, with a barrier between
   /// phases. Same merged report (timing aside), more idle time. Records
-  /// no prepare/admit/complete spans.
+  /// no prepare/admit/complete spans; its autoscale and rebalance spans
+  /// carry this period's own epoch, as RunPeriod's do.
   Result<ClusterPeriodReport> RunPeriodBarriered();
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -236,9 +237,9 @@ class ClusterCenter {
     return overrides_;
   }
   const ShardRebalancer& rebalancer() const { return rebalancer_; }
-  /// Number of RunPeriod calls so far (0 before the first); trace spans
-  /// carry it as the period epoch. The gate layer stamps its drain
-  /// spans with this after RunPeriod.
+  /// Number of RunPeriod and RunPeriodBarriered calls so far (0 before
+  /// the first); trace spans carry it as the period epoch. The gate
+  /// layer stamps its drain spans with this after RunPeriod.
   uint64_t period_epoch() const { return period_epoch_; }
 
  private:
@@ -277,7 +278,7 @@ class ClusterCenter {
   std::unordered_map<auction::UserId, TenantRecord> tenants_;
   PlacementOverrides overrides_;
   std::vector<MigrationPlan> migrations_;
-  /// Bumped once by every RunPeriod.
+  /// Bumped once by every RunPeriod and RunPeriodBarriered.
   uint64_t period_epoch_ = 0;
   /// Cluster-level telemetry instruments; null without options.metrics.
   telemetry::Counter* periods_metric_ = nullptr;

@@ -24,9 +24,10 @@ struct Engine::Node {
   int source_index = -1;   // Valid for source taps.
   SchemaPtr schema;        // Output schema.
   std::vector<std::pair<Node*, int>> downstream;  // (consumer, port).
-  std::deque<std::pair<int, Tuple>> inbox;        // (port, tuple).
+  std::vector<std::pair<int, Tuple>> inbox;       // (port, tuple).
   std::set<int> subscribers;  // Query ids whose plans include this node.
   std::set<int> sink_of;      // Query ids whose output node is this.
+  std::vector<SinkStats*> sinks;  // &sinks_[q] for each q in sink_of.
   double run_cost = 0.0;      // Cost consumed during the current Run().
   double total_cost = 0.0;
   int64_t processed = 0;
@@ -247,6 +248,7 @@ Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {
       Node * out, Instantiate(query_id, plan, plan.output_node));
   out->sink_of.insert(query_id);
   sinks_[query_id] = SinkStats{};
+  BindSinks(out);
   return Status::Ok();
 }
 
@@ -257,7 +259,7 @@ Status Engine::UninstallQuery(int query_id) {
   }
   for (Node* node : topo_) {
     node->subscribers.erase(query_id);
-    node->sink_of.erase(query_id);
+    if (node->sink_of.erase(query_id) > 0) BindSinks(node);
   }
   // Destroy orphaned nodes (reverse topological order so downstream
   // edges are unhooked before their targets die).
@@ -311,9 +313,7 @@ Status Engine::CommitTransition() {
   for (size_t s = 0; s < held_.size(); ++s) {
     for (Node* node : topo_) {
       if (node->source_index == static_cast<int>(s)) {
-        for (const Tuple& t : held_[s]) {
-          node->inbox.push_back({0, t});
-        }
+        for (const Tuple& t : held_[s]) node->inbox.emplace_back(0, t);
       }
     }
     held_[s].clear();
@@ -323,58 +323,64 @@ Status Engine::CommitTransition() {
   return Status::Ok();
 }
 
-void Engine::Deliver(Node* node, const Tuple& tuple) {
+void Engine::BindSinks(Node* node) {
+  node->sinks.clear();
+  for (int qid : node->sink_of) node->sinks.push_back(&sinks_[qid]);
+}
+
+void Engine::Deliver(Node* node, Tuple&& tuple) {
+  // Every recipient but the last shares the row; the last one takes
+  // over the caller's handle.
+  size_t recipients = node->downstream.size() + node->sinks.size();
+  auto take = [&recipients, &tuple]() -> Tuple {
+    if (--recipients > 0) return tuple;
+    return std::move(tuple);
+  };
   for (auto& [consumer, port] : node->downstream) {
-    consumer->inbox.push_back({port, tuple});
+    consumer->inbox.emplace_back(port, take());
   }
-  if (!node->sink_of.empty()) {
-    for (int qid : node->sink_of) {
-      SinkStats& sink = sinks_[qid];
-      ++sink.tuples;
-      sink.recent.push_back(tuple);
-      while (static_cast<int>(sink.recent.size()) > options_.sink_history) {
-        sink.recent.pop_front();
-      }
+  for (SinkStats* sink : node->sinks) {
+    ++sink->tuples;
+    sink->recent.push_back(take());
+    while (static_cast<int>(sink->recent.size()) > options_.sink_history) {
+      sink->recent.pop_front();
     }
   }
 }
 
 double Engine::ProcessPass(VirtualTime now) {
   // Edges always point from earlier to later topo_ entries, so one
-  // ordered pass drains everything, including window emissions.
+  // ordered pass drains everything, including window emissions. A node
+  // never feeds its own inbox, so its batch can be swapped out whole,
+  // and its outputs can wait until after AdvanceTime: they reach only
+  // later nodes and sinks, in the order they were produced.
   double pass_cost = 0.0;
-  std::vector<Tuple> outputs;
   for (Node* node : topo_) {
+    batch_.swap(node->inbox);
+    node->processed += static_cast<int64_t>(batch_.size());
     if (node->op == nullptr) {
       // Source tap: forward.
-      while (!node->inbox.empty()) {
-        const Tuple tuple = std::move(node->inbox.front().second);
-        node->inbox.pop_front();
-        ++node->processed;
-        Deliver(node, tuple);
-      }
+      for (auto& [port, tuple] : batch_) Deliver(node, std::move(tuple));
+      batch_.clear();
       continue;
     }
-    while (!node->inbox.empty()) {
-      auto [port, tuple] = std::move(node->inbox.front());
-      node->inbox.pop_front();
-      outputs.clear();
-      node->op->Process(port, tuple, &outputs);
-      node->op->RecordInput(1);
-      node->op->RecordOutput(static_cast<int64_t>(outputs.size()));
-      node->run_cost += node->op->cost_per_tuple();
-      node->total_cost += node->op->cost_per_tuple();
-      pass_cost += node->op->cost_per_tuple();
-      ++node->processed;
-      for (const Tuple& out : outputs) Deliver(node, out);
+    OperatorBase& op = *node->op;
+    const double cost = op.cost_per_tuple();
+    outputs_.clear();
+    for (const auto& [port, tuple] : batch_) {
+      op.Process(port, tuple, &outputs_);
+      // Per-tuple sums: the float results must not depend on batching.
+      node->run_cost += cost;
+      node->total_cost += cost;
+      pass_cost += cost;
     }
-    outputs.clear();
-    node->op->AdvanceTime(now, &outputs);
-    if (!outputs.empty()) {
-      node->op->RecordOutput(static_cast<int64_t>(outputs.size()));
-      for (const Tuple& out : outputs) Deliver(node, out);
-    }
+    op.RecordInput(static_cast<int64_t>(batch_.size()));
+    batch_.clear();
+    op.AdvanceTime(now, &outputs_);
+    op.RecordOutput(static_cast<int64_t>(outputs_.size()));
+    for (Tuple& out : outputs_) Deliver(node, std::move(out));
   }
+  outputs_.clear();
   return pass_cost;
 }
 
@@ -393,16 +399,17 @@ void Engine::Run(VirtualTime duration) {
   while (now_ < end) {
     now_ = std::min(now_ + options_.tick, end);
     for (size_t s = 0; s < sources_.size(); ++s) {
-      std::vector<Tuple> batch = sources_[s]->EmitUntil(now_);
-      if (batch.empty()) continue;
+      emitted_.clear();
+      sources_[s]->EmitUntil(now_, &emitted_);
+      if (emitted_.empty()) continue;
       if (in_transition_) {
         // Connection point holds arrivals during the transition.
-        held_[s].insert(held_[s].end(), batch.begin(), batch.end());
+        held_[s].insert(held_[s].end(), emitted_.begin(), emitted_.end());
         continue;
       }
       for (Node* node : topo_) {
         if (node->source_index == static_cast<int>(s)) {
-          for (const Tuple& t : batch) {
+          for (const Tuple& t : emitted_) {
             // Closed-loop tuple shedding (Aurora-style random drops):
             // the drop probability tracks last tick's overload ratio.
             if (options_.shed_on_overload && shed_probability_ > 0.0 &&
@@ -410,7 +417,7 @@ void Engine::Run(VirtualTime duration) {
               ++last_run_shed_;
               continue;
             }
-            node->inbox.push_back({0, t});
+            node->inbox.emplace_back(0, t);
             ++last_run_ingested_;
           }
         }

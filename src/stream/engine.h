@@ -9,6 +9,15 @@
 // subscription-period boundary, upstream connection points hold new
 // tuples, in-flight tuples are drained, the query network is modified,
 // and held tuples are replayed before new arrivals.
+//
+// Execution is batch-at-a-time over shared rows. Each tick the sources
+// append into one reused buffer, and one pass visits the nodes in
+// topological order: a node swaps its whole inbox (port, tuple) batch
+// out, runs its operator over it in arrival order, advances its windows,
+// and hands every output row to each consumer inbox and sink. Tuples
+// are immutable ref-counted rows (stream/tuple.h), so fanning out to N
+// consumers bumps a count N times instead of copying the row, and the
+// sink histories hold the very rows the network produced.
 
 #ifndef STREAMBID_STREAM_ENGINE_H_
 #define STREAMBID_STREAM_ENGINE_H_
@@ -17,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -63,7 +73,9 @@ struct OperatorLoadInfo {
 /// Per-query output statistics.
 struct SinkStats {
   int64_t tuples = 0;
-  std::deque<Tuple> recent;  ///< Last `sink_history` output tuples.
+  /// Last `sink_history` output tuples: handles to the output node's
+  /// rows, shared with every other sink of that node.
+  std::deque<Tuple> recent;
 };
 
 /// Virtual-time stream engine. Not thread-safe; one engine per
@@ -178,8 +190,11 @@ class Engine {
   Result<OperatorPtr> MakeOperator(const OpSpec& spec,
                                    const std::vector<SchemaPtr>& inputs) const;
 
+  /// Re-points `node->sinks` at the SinkStats of `node->sink_of`.
+  void BindSinks(Node* node);
+
   /// Pushes `tuple` into `node`'s downstream inboxes and sinks.
-  void Deliver(Node* node, const Tuple& tuple);
+  void Deliver(Node* node, Tuple&& tuple);
 
   /// One full pass over the topological order, draining every inbox and
   /// advancing windows to `now`. Returns the cost consumed.
@@ -191,10 +206,16 @@ class Engine {
 
   std::map<std::string, std::unique_ptr<Node>> nodes_;  // By signature.
   std::vector<Node*> topo_;  // Creation order == topological order.
-  std::map<int, SinkStats> sinks_;
+  std::map<int, SinkStats> sinks_;  // Nodes point into it (stable).
 
   bool in_transition_ = false;
   std::vector<std::vector<Tuple>> held_;  // Per source, during transition.
+
+  // Buffers reused across passes and ticks so steady-state execution
+  // allocates only for the rows operators produce.
+  std::vector<Tuple> emitted_;                 // One source's arrivals.
+  std::vector<std::pair<int, Tuple>> batch_;   // The inbox being drained.
+  std::vector<Tuple> outputs_;                 // That node's outputs.
 
   VirtualTime now_ = 0.0;
   double last_run_cost_ = 0.0;

@@ -2,9 +2,12 @@
 // Base class for stream operators ("boxes" in the Aurora model the paper
 // assumes, §II). Operators are push-based: the engine hands them input
 // tuples and they append outputs. Window operators additionally emit on
-// time advancement. Each operator carries a per-tuple processing cost in
-// abstract capacity units; measured cost x rate is the operator load c_j
-// the admission auction prices.
+// time advancement. Tuples are immutable shared rows, so an operator may
+// keep the handle it is given (a window buffer) or pass it through as
+// an output (select, union, distinct) without copying the row. Each
+// operator carries a per-tuple processing cost in abstract capacity
+// units; measured cost x rate is the operator load c_j the admission
+// auction prices.
 
 #ifndef STREAMBID_STREAM_OPERATOR_H_
 #define STREAMBID_STREAM_OPERATOR_H_
@@ -38,7 +41,8 @@ class OperatorBase {
   /// Number of input ports (1, or 2 for join/union).
   virtual int num_inputs() const { return 1; }
 
-  /// Processes one tuple arriving on `port`, appending outputs.
+  /// Processes one tuple arriving on `port`, appending outputs. The
+  /// operator may copy the handle to keep the row or to emit it as is.
   virtual void Process(int port, const Tuple& tuple,
                        std::vector<Tuple>* out) = 0;
 

@@ -67,17 +67,24 @@ class AggregateOperator : public OperatorBase {
     double Final(AggFn fn) const;
   };
 
+  struct Group {
+    Accumulator acc;
+    Value value;  // The group field, from the group's first tuple.
+  };
+
   // One open window instance.
   struct OpenWindow {
     VirtualTime start = 0.0;
-    // Group key -> accumulator ("" for ungrouped).
-    std::map<std::string, Accumulator> groups;
-    std::map<std::string, Value> group_values;
+    // Group key -> group ("" for ungrouped). The key order is the
+    // emission order.
+    std::map<std::string, Group> groups;
   };
 
   void EmitWindow(const OpenWindow& w, std::vector<Tuple>* out);
-  /// Window start times whose window [s, s+size) contains `ts`.
-  std::vector<VirtualTime> WindowStartsFor(VirtualTime ts) const;
+  /// Replaces `starts` with the start times of the windows
+  /// [s, s+size) that contain `ts`.
+  void WindowStartsFor(VirtualTime ts,
+                       std::vector<VirtualTime>* starts) const;
 
   SchemaPtr output_schema_;
   AggFn fn_;
@@ -85,6 +92,7 @@ class AggregateOperator : public OperatorBase {
   int group_field_index_;  // -1 when ungrouped.
   WindowSpec window_;
   std::map<VirtualTime, OpenWindow> open_;  // keyed by window start.
+  std::vector<VirtualTime> starts_;  // WindowStartsFor's reused buffer.
 };
 
 }  // namespace streambid::stream

@@ -24,13 +24,14 @@ void DistinctOperator::Process(int port, const Tuple& tuple,
                                std::vector<Tuple>* out) {
   STREAMBID_DCHECK(port == 0);
   (void)port;
-  const std::string key = tuple.value(key_index_).ToKey();
-  auto it = last_seen_.find(key);
-  if (it != last_seen_.end() &&
-      tuple.timestamp() - it->second < window_) {
-    return;  // Duplicate within the window: suppressed.
+  auto [it, fresh] = last_seen_.try_emplace(
+      tuple.value(key_index_).ToKey(), tuple.timestamp());
+  if (!fresh) {
+    if (tuple.timestamp() - it->second < window_) {
+      return;  // Duplicate within the window: suppressed.
+    }
+    it->second = tuple.timestamp();
   }
-  last_seen_[key] = tuple.timestamp();
   out->push_back(tuple);
 }
 

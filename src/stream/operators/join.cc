@@ -34,7 +34,9 @@ JoinOperator::JoinOperator(const SchemaPtr& left_schema,
 
 void JoinOperator::Emit(const Tuple& left, const Tuple& right,
                         std::vector<Tuple>* out) {
-  std::vector<Value> values = left.values();
+  std::vector<Value> values;
+  values.reserve(left.values().size() + right.values().size());
+  values.insert(values.end(), left.values().begin(), left.values().end());
   values.insert(values.end(), right.values().begin(),
                 right.values().end());
   out->emplace_back(output_schema_, std::move(values),

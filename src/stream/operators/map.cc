@@ -56,7 +56,9 @@ void MapOperator::Process(int port, const Tuple& tuple,
       y = x / operand_;
       break;
   }
-  std::vector<Value> values = tuple.values();
+  std::vector<Value> values;
+  values.reserve(tuple.values().size() + 1);
+  values.insert(values.end(), tuple.values().begin(), tuple.values().end());
   values.emplace_back(y);
   out->emplace_back(output_schema_, std::move(values), tuple.timestamp());
 }

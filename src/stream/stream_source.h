@@ -34,8 +34,9 @@ class StreamSource {
   const SchemaPtr& schema() const { return schema_; }
   double rate() const { return rate_; }
 
-  /// Emits all tuples with timestamps in (last emission, until].
-  std::vector<Tuple> EmitUntil(VirtualTime until);
+  /// Appends to `out` all tuples with timestamps in (last emission,
+  /// until]. The engine passes the same buffer every tick.
+  void EmitUntil(VirtualTime until, std::vector<Tuple>* out);
 
   int64_t tuples_emitted() const { return emitted_; }
 

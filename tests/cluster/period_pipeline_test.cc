@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "cluster/cluster_center.h"
 #include "cluster/task_executor.h"
 #include "stream/query_builder.h"
 #include "stream/stream_source.h"
+#include "telemetry/trace.h"
 
 namespace streambid::cluster {
 namespace {
@@ -198,6 +201,39 @@ TEST(PeriodPipelineTest, PipelinedMatchesBarrieredUnderAutoscaling) {
     }
   }
   EXPECT_TRUE(any_change);
+}
+
+TEST(PeriodPipelineTest, BarrieredPeriodsTraceTheirOwnEpoch) {
+  telemetry::PeriodTracer tracer;
+  ClusterOptions options = BaseOptions(2, /*autoscale=*/true);
+  options.num_shards = 2;
+  options.tracer = &tracer;
+  ClusterCenter cluster(options, RegisterQuotes);
+  const bool pipelined[] = {false, true, false};
+  for (int period = 0; period < 3; ++period) {
+    SubmitTenants(cluster, period);
+    const auto report = pipelined[period] ? cluster.RunPeriod()
+                                          : cluster.RunPeriodBarriered();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(cluster.period_epoch(), static_cast<uint64_t>(period + 1));
+  }
+  // Every span of period p, whichever path ran it, carries epoch p + 1:
+  // the autoscale spans inside prepare and the rebalance span alike.
+  std::map<int, std::set<uint64_t>> epochs_of_period;
+  std::map<int, int> autoscale_spans;
+  for (const telemetry::TraceSpan& span : tracer.SortedSpans()) {
+    epochs_of_period[span.period].insert(span.epoch);
+    if (span.phase == telemetry::Phase::kAutoscale) {
+      ++autoscale_spans[span.period];
+    }
+  }
+  ASSERT_EQ(epochs_of_period.size(), 3u);
+  for (int period = 0; period < 3; ++period) {
+    EXPECT_EQ(epochs_of_period[period],
+              std::set<uint64_t>{static_cast<uint64_t>(period + 1)})
+        << "period " << period;
+    EXPECT_EQ(autoscale_spans[period], 2) << "period " << period;
+  }
 }
 
 TEST(PeriodPipelineTest, AllPeriodWorkLandsOnPoolWorkers) {

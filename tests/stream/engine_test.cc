@@ -113,6 +113,21 @@ TEST_F(EngineTest, IdenticalPlansShareOperators) {
   EXPECT_GT(engine_.sink(1)->tuples, 0);
 }
 
+TEST_F(EngineTest, SharedOutputNodeHandsOneRowToEverySink) {
+  ASSERT_TRUE(engine_.InstallQuery(1, SelectPlan(5.0)).ok());
+  ASSERT_TRUE(engine_.InstallQuery(2, SelectPlan(5.0)).ok());
+  engine_.Run(3.0);
+  const SinkStats* first = engine_.sink(1);
+  const SinkStats* second = engine_.sink(2);
+  ASSERT_FALSE(first->recent.empty());
+  ASSERT_EQ(first->recent.size(), second->recent.size());
+  // Both queries' output is the one shared select node: its sinks hold
+  // the same rows, not copies of them.
+  for (size_t i = 0; i < first->recent.size(); ++i) {
+    EXPECT_EQ(&first->recent[i].values(), &second->recent[i].values());
+  }
+}
+
 TEST_F(EngineTest, UninstallKeepsSharedNodesAlive) {
   ASSERT_TRUE(engine_.InstallQuery(1, SelectPlan(5.0)).ok());
   ASSERT_TRUE(engine_.InstallQuery(2, SelectPlan(5.0)).ok());

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+
 #include "stream/engine.h"
 #include "stream/query_builder.h"
 
@@ -109,6 +112,29 @@ TEST_F(TransitionTest, QuerySwapDuringTransition) {
   EXPECT_EQ(engine_.sink(1), nullptr);
   // The new query received the held tuples AND the post-commit ones.
   EXPECT_GT(engine_.sink(2)->tuples, 5);
+}
+
+TEST_F(TransitionTest, SinkHistoryOutlivesUninstall) {
+  ASSERT_TRUE(engine_.InstallQuery(1, EvenOnly()).ok());
+  engine_.Run(5.0);
+  // Handles to the rows the project node produced.
+  const std::deque<Tuple> history = engine_.sink(1)->recent;
+  ASSERT_EQ(history.size(), 6u);  // seq 0..5.
+  engine_.BeginTransition();
+  ASSERT_TRUE(engine_.UninstallQuery(1).ok());
+  ASSERT_TRUE(engine_.CommitTransition().ok());
+  // The nodes and the sink are gone; the rows they shared are not.
+  EXPECT_EQ(engine_.num_runtime_nodes(), 0);
+  EXPECT_EQ(engine_.sink(1), nullptr);
+  int64_t seq = 0;
+  for (const Tuple& t : history) {
+    EXPECT_EQ(t.schema()->ToString(), "seq:int64");
+    EXPECT_DOUBLE_EQ(t.timestamp(), static_cast<double>(seq));
+    EXPECT_EQ(t.ToString(),
+              "(ts=" + std::to_string(t.timestamp()) +
+                  " seq=" + std::to_string(seq) + ")");
+    ++seq;
+  }
 }
 
 TEST_F(TransitionTest, CommitWithoutBeginFails) {

@@ -39,6 +39,15 @@ TEST(TupleTest, FieldAccess) {
   EXPECT_EQ(t.value(0).AsString(), "IBM");
 }
 
+TEST(TupleTest, CopiesShareOneRow) {
+  const Tuple t(QuoteSchema(), {Value("IBM"), Value(101.5)}, 2.5);
+  const Tuple copy = t;  // NOLINT(performance-unnecessary-copy-initialization)
+  // A copy is a second handle to the same row, not a second row.
+  EXPECT_EQ(&copy.values(), &t.values());
+  EXPECT_EQ(&copy.value(0).AsString(), &t.value(0).AsString());
+  EXPECT_EQ(copy.schema().get(), t.schema().get());
+}
+
 TEST(TupleTest, ToStringMentionsFields) {
   Tuple t(QuoteSchema(), {Value("A"), Value(1.0)}, 0.0);
   const std::string s = t.ToString();
