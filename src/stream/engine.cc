@@ -22,7 +22,6 @@ struct Engine::Node {
   std::string signature;
   OperatorPtr op;          // Null for source taps.
   int source_index = -1;   // Valid for source taps.
-  SchemaPtr schema;        // Output schema.
   std::vector<std::pair<Node*, int>> downstream;  // (consumer, port).
   std::vector<std::pair<int, Tuple>> inbox;       // (port, tuple).
   std::set<int> subscribers;  // Query ids whose plans include this node.
@@ -66,9 +65,8 @@ const StreamSource* Engine::source(const std::string& name) const {
 
 Result<OperatorPtr> Engine::MakeOperator(
     const OpSpec& spec, const std::vector<SchemaPtr>& inputs) const {
-  auto cost = [&spec](double fallback) {
-    return spec.cost_override > 0.0 ? spec.cost_override : fallback;
-  };
+  // Parameter checks are written !(x > 0) so that NaN fails them too.
+  const double cost = spec.cost_per_tuple();
   switch (spec.kind) {
     case OpKind::kSource:
       return Status::Internal("source specs have no operator");
@@ -79,7 +77,7 @@ Result<OperatorPtr> Engine::MakeOperator(
       }
       return OperatorPtr(new SelectOperator(inputs[0], spec.field,
                                             spec.compare_op, spec.operand,
-                                            cost(DefaultCosts::kSelect)));
+                                            cost));
     }
     case OpKind::kProject: {
       for (const std::string& f : spec.fields) {
@@ -87,17 +85,18 @@ Result<OperatorPtr> Engine::MakeOperator(
           return Status::InvalidArgument("project: unknown field " + f);
         }
       }
-      return OperatorPtr(new ProjectOperator(inputs[0], spec.fields,
-                                             cost(DefaultCosts::kProject)));
+      return OperatorPtr(new ProjectOperator(inputs[0], spec.fields, cost));
     }
     case OpKind::kMap: {
       if (!inputs[0]->HasField(spec.field)) {
         return Status::InvalidArgument("map: unknown field " + spec.field);
       }
+      if (spec.map_fn == MapFn::kDiv && spec.map_operand == 0.0) {
+        return Status::InvalidArgument("map: division by zero");
+      }
       return OperatorPtr(new MapOperator(inputs[0], spec.field, spec.map_fn,
                                          spec.map_operand,
-                                         spec.output_field,
-                                         cost(DefaultCosts::kMap)));
+                                         spec.output_field, cost));
     }
     case OpKind::kAggregate: {
       if (spec.agg_fn != AggFn::kCount || !spec.field.empty()) {
@@ -111,9 +110,13 @@ Result<OperatorPtr> Engine::MakeOperator(
         return Status::InvalidArgument("aggregate: unknown group field " +
                                        spec.group_field);
       }
-      return OperatorPtr(new AggregateOperator(
-          inputs[0], spec.agg_fn, spec.field, spec.group_field, spec.window,
-          cost(DefaultCosts::kAggregate)));
+      if (!(spec.window.slide > 0.0 &&
+            spec.window.slide <= spec.window.size)) {
+        return Status::InvalidArgument("aggregate: need 0 < slide <= size");
+      }
+      return OperatorPtr(new AggregateOperator(inputs[0], spec.agg_fn,
+                                               spec.field, spec.group_field,
+                                               spec.window, cost));
     }
     case OpKind::kJoin: {
       if (!inputs[0]->HasField(spec.left_key)) {
@@ -124,18 +127,18 @@ Result<OperatorPtr> Engine::MakeOperator(
         return Status::InvalidArgument("join: unknown right key " +
                                        spec.right_key);
       }
+      if (!(spec.join_window > 0.0)) {
+        return Status::InvalidArgument("join: window must be positive");
+      }
       return OperatorPtr(new JoinOperator(inputs[0], inputs[1],
                                           spec.left_key, spec.right_key,
-                                          spec.join_window,
-                                          cost(DefaultCosts::kJoin)));
+                                          spec.join_window, cost));
     }
     case OpKind::kUnion: {
       if (!(*inputs[0] == *inputs[1])) {
         return Status::InvalidArgument("union: input schemas differ");
       }
-      return OperatorPtr(
-          new UnionOperator(inputs[0], inputs[1],
-                            cost(DefaultCosts::kUnion)));
+      return OperatorPtr(new UnionOperator(inputs[0], inputs[1], cost));
     }
     case OpKind::kTopK: {
       if (!inputs[0]->HasField(spec.field)) {
@@ -145,94 +148,60 @@ Result<OperatorPtr> Engine::MakeOperator(
       if (spec.top_k <= 0) {
         return Status::InvalidArgument("topk: k must be positive");
       }
+      if (!(spec.window.size > 0.0)) {
+        return Status::InvalidArgument("topk: window must be positive");
+      }
       return OperatorPtr(new TopKOperator(inputs[0], spec.top_k,
                                           spec.field, spec.window.size,
-                                          cost(DefaultCosts::kTopK)));
+                                          cost));
     }
     case OpKind::kDistinct: {
       if (!inputs[0]->HasField(spec.field)) {
         return Status::InvalidArgument("distinct: unknown key field " +
                                        spec.field);
       }
+      if (!(spec.window.size > 0.0)) {
+        return Status::InvalidArgument("distinct: window must be positive");
+      }
       return OperatorPtr(new DistinctOperator(inputs[0], spec.field,
-                                              spec.window.size,
-                                              cost(DefaultCosts::kDistinct)));
+                                              spec.window.size, cost));
     }
   }
   return Status::Internal("unknown operator kind");
 }
 
-Result<Engine::Node*> Engine::Instantiate(int query_id,
-                                          const QueryPlan& plan, int idx) {
-  const QueryPlan::Node& pn = plan.nodes[static_cast<size_t>(idx)];
-  const std::string sig = plan.NodeSignature(idx);
-
-  // Instantiate (or revisit) children first so subscribers propagate
-  // through the whole subtree.
-  std::vector<Node*> children;
-  std::vector<SchemaPtr> child_schemas;
-  for (int in : pn.inputs) {
-    STREAMBID_ASSIGN_OR_RETURN(Node * child,
-                               Instantiate(query_id, plan, in));
-    children.push_back(child);
-    child_schemas.push_back(child->schema);
-  }
-
-  auto it = nodes_.find(sig);
-  if (it != nodes_.end()) {
-    it->second->subscribers.insert(query_id);
-    return it->second.get();
-  }
-
-  auto node = std::make_unique<Node>();
-  node->signature = sig;
-  if (pn.spec.kind == OpKind::kSource) {
-    auto src = source_index_.find(pn.spec.source_name);
-    if (src == source_index_.end()) {
-      return Status::NotFound("unknown source: " + pn.spec.source_name);
+Result<std::vector<Engine::CompiledNode>> Engine::Compile(
+    const QueryPlan& plan) const {
+  STREAMBID_RETURN_IF_ERROR(plan.Validate());
+  // Bottom-up in plan order, without touching engine state.
+  std::vector<CompiledNode> compiled(plan.nodes.size());
+  std::vector<SchemaPtr> inputs;
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    const QueryPlan::Node& pn = plan.nodes[i];
+    CompiledNode& node = compiled[i];
+    if (pn.spec.kind == OpKind::kSource) {
+      auto src = source_index_.find(pn.spec.source_name);
+      if (src == source_index_.end()) {
+        return Status::NotFound("unknown source: " + pn.spec.source_name);
+      }
+      node.source_index = src->second;
+      node.schema = sources_[static_cast<size_t>(src->second)]->schema();
+      continue;
     }
-    node->source_index = src->second;
-    node->schema = sources_[static_cast<size_t>(src->second)]->schema();
-  } else {
-    STREAMBID_ASSIGN_OR_RETURN(OperatorPtr op,
-                               MakeOperator(pn.spec, child_schemas));
-    node->schema = op->output_schema();
-    node->op = std::move(op);
+    inputs.clear();
+    for (int in : pn.inputs) {
+      inputs.push_back(compiled[static_cast<size_t>(in)].schema);
+    }
+    STREAMBID_ASSIGN_OR_RETURN(node.op, MakeOperator(pn.spec, inputs));
+    node.schema = node.op->output_schema();
   }
-  node->subscribers.insert(query_id);
-
-  Node* raw = node.get();
-  for (size_t port = 0; port < children.size(); ++port) {
-    children[port]->downstream.push_back({raw, static_cast<int>(port)});
-  }
-  nodes_.emplace(sig, std::move(node));
-  topo_.push_back(raw);
-  return raw;
+  return compiled;
 }
 
 Result<SchemaPtr> Engine::DeriveOutputSchema(const QueryPlan& plan) const {
-  STREAMBID_RETURN_IF_ERROR(plan.Validate());
-  // Derive schemas bottom-up without touching engine state.
-  std::vector<SchemaPtr> schemas(plan.nodes.size());
-  for (size_t i = 0; i < plan.nodes.size(); ++i) {
-    const QueryPlan::Node& pn = plan.nodes[i];
-    if (pn.spec.kind == OpKind::kSource) {
-      const StreamSource* src = source(pn.spec.source_name);
-      if (src == nullptr) {
-        return Status::NotFound("unknown source: " + pn.spec.source_name);
-      }
-      schemas[i] = src->schema();
-      continue;
-    }
-    std::vector<SchemaPtr> inputs;
-    for (int in : pn.inputs) {
-      inputs.push_back(schemas[static_cast<size_t>(in)]);
-    }
-    STREAMBID_ASSIGN_OR_RETURN(OperatorPtr op,
-                               MakeOperator(pn.spec, inputs));
-    schemas[i] = op->output_schema();
-  }
-  return schemas[static_cast<size_t>(plan.output_node)];
+  STREAMBID_ASSIGN_OR_RETURN(std::vector<CompiledNode> compiled,
+                             Compile(plan));
+  return compiled[static_cast<size_t>(plan.output_node)].schema;
 }
 
 Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {
@@ -240,12 +209,40 @@ Status Engine::InstallQuery(int query_id, const QueryPlan& plan) {
     return Status::AlreadyExists("query id already installed: " +
                                  std::to_string(query_id));
   }
-  STREAMBID_RETURN_IF_ERROR(plan.Validate());
-  // Validate fully (fields, sources) before mutating shared state.
-  STREAMBID_RETURN_IF_ERROR(DeriveOutputSchema(plan).status());
+  STREAMBID_ASSIGN_OR_RETURN(std::vector<CompiledNode> compiled,
+                             Compile(plan));
 
-  STREAMBID_ASSIGN_OR_RETURN(
-      Node * out, Instantiate(query_id, plan, plan.output_node));
+  // Nothing below can fail. Link the nodes reachable from the output in
+  // depth-first post-order, inputs first in port order, so topo_ stays
+  // topological; every visited node gains the subscriber, and a node
+  // already running under the same signature is reused.
+  std::vector<std::string> sigs = plan.NodeSignatures();
+  std::vector<Node*> linked(plan.nodes.size(), nullptr);
+  auto link = [&](auto& self, int idx) -> Node* {
+    const size_t i = static_cast<size_t>(idx);
+    if (linked[i] != nullptr) return linked[i];
+    const std::vector<int>& inputs = plan.nodes[i].inputs;
+    for (int in : inputs) self(self, in);
+    auto it = nodes_.find(sigs[i]);
+    if (it != nodes_.end()) {
+      it->second->subscribers.insert(query_id);
+      return linked[i] = it->second.get();
+    }
+    auto node = std::make_unique<Node>();
+    node->signature = sigs[i];
+    node->op = std::move(compiled[i].op);
+    node->source_index = compiled[i].source_index;
+    node->subscribers.insert(query_id);
+    Node* raw = node.get();
+    for (size_t port = 0; port < inputs.size(); ++port) {
+      linked[static_cast<size_t>(inputs[port])]->downstream.push_back(
+          {raw, static_cast<int>(port)});
+    }
+    nodes_.emplace(std::move(sigs[i]), std::move(node));
+    topo_.push_back(raw);
+    return linked[i] = raw;
+  };
+  Node* out = link(link, plan.output_node);
   out->sink_of.insert(query_id);
   sinks_[query_id] = SinkStats{};
   BindSinks(out);

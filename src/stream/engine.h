@@ -10,6 +10,10 @@
 // tuples, in-flight tuples are drained, the query network is modified,
 // and held tuples are replayed before new arrivals.
 //
+// One pass in plan order validates a plan and builds each node's
+// operator once; InstallQuery then links the nodes reachable from the
+// output, inputs first, and cannot fail, so an install is all or nothing.
+//
 // Execution is batch-at-a-time over shared rows. Each tick the sources
 // append into one reused buffer, and one pass visits the nodes in
 // topological order: a node swaps its whole inbox (port, tuple) batch
@@ -100,13 +104,14 @@ class Engine {
   // --- Query management ---------------------------------------------
 
   /// Validates `plan` against the registered sources and derives its
-  /// output schema without installing anything.
+  /// output schema without installing anything. Errors report the
+  /// first failing node in plan order.
   Result<SchemaPtr> DeriveOutputSchema(const QueryPlan& plan) const;
 
-  /// Instantiates `plan` for `query_id`, sharing identical subtrees
-  /// with already-installed queries. Errors: kAlreadyExists (id in
-  /// use), kInvalidArgument / kNotFound (bad plan or unknown source or
-  /// field).
+  /// Installs `plan` for `query_id`, sharing identical subtrees with
+  /// already-installed queries; on error nothing changes. Errors:
+  /// kAlreadyExists (id in use), kInvalidArgument / kNotFound (bad
+  /// plan, parameter, field or unknown source).
   Status InstallQuery(int query_id, const QueryPlan& plan);
 
   /// Removes the query; operators no longer referenced by any query are
@@ -182,11 +187,19 @@ class Engine {
  private:
   struct Node;
 
-  /// Recursively instantiates plan node `idx` for `query_id`; returns
-  /// the runtime node (shared or fresh).
-  Result<Node*> Instantiate(int query_id, const QueryPlan& plan, int idx);
+  /// One plan node as Compile leaves it (op is null for a source tap).
+  struct CompiledNode {
+    SchemaPtr schema;
+    OperatorPtr op;
+    int source_index = -1;
+  };
 
-  /// Builds the concrete operator for `spec` (validating fields).
+  /// Validates `plan` and, in plan order, resolves each source tap and
+  /// builds each other node's operator once.
+  Result<std::vector<CompiledNode>> Compile(const QueryPlan& plan) const;
+
+  /// Builds the concrete operator for `spec` (validating fields and
+  /// parameters).
   Result<OperatorPtr> MakeOperator(const OpSpec& spec,
                                    const std::vector<SchemaPtr>& inputs) const;
 

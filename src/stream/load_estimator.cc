@@ -4,53 +4,25 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/check.h"
 
 namespace streambid::stream {
-namespace {
-
-double DefaultCostFor(const OpSpec& spec) {
-  if (spec.cost_override > 0.0) return spec.cost_override;
-  switch (spec.kind) {
-    case OpKind::kSource:
-      return 0.0;
-    case OpKind::kSelect:
-      return DefaultCosts::kSelect;
-    case OpKind::kProject:
-      return DefaultCosts::kProject;
-    case OpKind::kMap:
-      return DefaultCosts::kMap;
-    case OpKind::kAggregate:
-      return DefaultCosts::kAggregate;
-    case OpKind::kJoin:
-      return DefaultCosts::kJoin;
-    case OpKind::kUnion:
-      return DefaultCosts::kUnion;
-    case OpKind::kTopK:
-      return DefaultCosts::kTopK;
-    case OpKind::kDistinct:
-      return DefaultCosts::kDistinct;
-  }
-  return 0.0;
-}
-
-}  // namespace
 
 Result<PlanLoadEstimate> EstimatePlanLoad(
     const Engine& engine, const QueryPlan& plan,
     const LoadEstimateOptions& options) {
-  STREAMBID_RETURN_IF_ERROR(plan.Validate());
-  // Field-level validation via schema derivation.
+  // Validates the plan, its sources, fields and parameters.
   STREAMBID_RETURN_IF_ERROR(engine.DeriveOutputSchema(plan).status());
 
+  std::vector<std::string> sigs = plan.NodeSignatures();
   PlanLoadEstimate est;
   est.nodes.resize(plan.nodes.size());
   for (size_t i = 0; i < plan.nodes.size(); ++i) {
     const QueryPlan::Node& pn = plan.nodes[i];
     NodeLoadEstimate& ne = est.nodes[i];
-    ne.signature = plan.NodeSignature(static_cast<int>(i));
-    ne.name = pn.spec.Signature();
+    ne.signature = std::move(sigs[i]);
     ne.is_source = pn.spec.kind == OpKind::kSource;
 
     double in_rate = 0.0;
@@ -62,9 +34,7 @@ Result<PlanLoadEstimate> EstimatePlanLoad(
       case OpKind::kSource: {
         const StreamSource* src = engine.source(pn.spec.source_name);
         STREAMBID_CHECK(src != nullptr);  // Validated above.
-        ne.input_rate = 0.0;
         ne.output_rate = src->rate();
-        ne.load = 0.0;
         continue;
       }
       case OpKind::kSelect:
@@ -75,26 +45,19 @@ Result<PlanLoadEstimate> EstimatePlanLoad(
       case OpKind::kUnion:
         ne.output_rate = in_rate;
         break;
+      // Windows are positive: the engine rejects any other.
       case OpKind::kAggregate:
-        ne.output_rate = pn.spec.window.slide > 0.0
-                             ? options.aggregate_groups /
-                                   pn.spec.window.slide
-                             : 0.0;
+        ne.output_rate = options.aggregate_groups / pn.spec.window.slide;
         break;
       case OpKind::kTopK:
         // k tuples per tumbling window.
-        ne.output_rate = pn.spec.window.size > 0.0
-                             ? pn.spec.top_k / pn.spec.window.size
-                             : 0.0;
+        ne.output_rate = pn.spec.top_k / pn.spec.window.size;
         break;
       case OpKind::kDistinct:
         // At most one tuple per distinct key per window; reuse the
         // aggregate group-count heuristic, capped by the input rate.
         ne.output_rate =
-            pn.spec.window.size > 0.0
-                ? std::min(in_rate, options.aggregate_groups /
-                                        pn.spec.window.size)
-                : in_rate;
+            std::min(in_rate, options.aggregate_groups / pn.spec.window.size);
         break;
       case OpKind::kJoin: {
         const double rl =
@@ -107,7 +70,7 @@ Result<PlanLoadEstimate> EstimatePlanLoad(
       }
     }
     ne.input_rate = in_rate;
-    ne.load = DefaultCostFor(pn.spec) * in_rate;
+    ne.load = pn.spec.cost_per_tuple() * in_rate;
 
     if (options.prefer_measured) {
       auto measured = engine.MeasuredLoad(ne.signature);

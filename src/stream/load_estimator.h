@@ -6,7 +6,8 @@
 // estimate from source rates and per-operator cost/selectivity models
 // (available before a query ever runs) and measured loads from the
 // engine (available after execution), preferring measurement when the
-// operator is already installed.
+// operator is already installed. The analytic load is the node's
+// OpSpec::cost_per_tuple() (the cost its operator charges) x input rate.
 
 #ifndef STREAMBID_STREAM_LOAD_ESTIMATOR_H_
 #define STREAMBID_STREAM_LOAD_ESTIMATOR_H_
@@ -38,8 +39,7 @@ struct LoadEstimateOptions {
 
 /// Analytic estimate for one plan node.
 struct NodeLoadEstimate {
-  std::string signature;
-  std::string name;
+  std::string signature;  ///< Sharing key (QueryPlan::NodeSignatures).
   bool is_source = false;
   double input_rate = 0.0;   ///< Tuples/second entering the node.
   double output_rate = 0.0;  ///< Tuples/second leaving the node.

@@ -2,33 +2,12 @@
 
 #include "stream/query.h"
 
+#include <utility>
+
+#include "common/check.h"
 #include "common/string_util.h"
 
 namespace streambid::stream {
-
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kSource:
-      return "source";
-    case OpKind::kSelect:
-      return "select";
-    case OpKind::kProject:
-      return "project";
-    case OpKind::kMap:
-      return "map";
-    case OpKind::kAggregate:
-      return "agg";
-    case OpKind::kJoin:
-      return "join";
-    case OpKind::kUnion:
-      return "union";
-    case OpKind::kTopK:
-      return "topk";
-    case OpKind::kDistinct:
-      return "distinct";
-  }
-  return "?";
-}
 
 std::string OpSpec::Signature() const {
   switch (kind) {
@@ -60,6 +39,31 @@ std::string OpSpec::Signature() const {
              ")";
   }
   return "?";
+}
+
+double OpSpec::cost_per_tuple() const {
+  if (cost_override > 0.0) return cost_override;
+  switch (kind) {
+    case OpKind::kSource:
+      return 0.0;
+    case OpKind::kSelect:
+      return DefaultCosts::kSelect;
+    case OpKind::kProject:
+      return DefaultCosts::kProject;
+    case OpKind::kMap:
+      return DefaultCosts::kMap;
+    case OpKind::kAggregate:
+      return DefaultCosts::kAggregate;
+    case OpKind::kJoin:
+      return DefaultCosts::kJoin;
+    case OpKind::kUnion:
+      return DefaultCosts::kUnion;
+    case OpKind::kTopK:
+      return DefaultCosts::kTopK;
+    case OpKind::kDistinct:
+      return DefaultCosts::kDistinct;
+  }
+  return 0.0;
 }
 
 Status QueryPlan::Validate() const {
@@ -94,18 +98,25 @@ Status QueryPlan::Validate() const {
   return Status::Ok();
 }
 
-std::string QueryPlan::NodeSignature(int node) const {
-  const Node& n = nodes[static_cast<size_t>(node)];
-  std::string sig = n.spec.Signature();
-  if (!n.inputs.empty()) {
-    sig += "<";
-    for (size_t k = 0; k < n.inputs.size(); ++k) {
-      if (k > 0) sig += ";";
-      sig += NodeSignature(n.inputs[k]);
+std::vector<std::string> QueryPlan::NodeSignatures() const {
+  std::vector<std::string> sigs;
+  sigs.reserve(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Node& n = nodes[i];
+    std::string sig = n.spec.Signature();
+    if (!n.inputs.empty()) {
+      sig += "<";
+      for (size_t k = 0; k < n.inputs.size(); ++k) {
+        const int in = n.inputs[k];
+        STREAMBID_CHECK(in >= 0 && in < static_cast<int>(i));
+        if (k > 0) sig += ";";
+        sig += sigs[static_cast<size_t>(in)];
+      }
+      sig += ">";
     }
-    sig += ">";
+    sigs.push_back(std::move(sig));
   }
-  return sig;
+  return sigs;
 }
 
 }  // namespace streambid::stream

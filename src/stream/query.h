@@ -3,6 +3,9 @@
 // specs; the engine instantiates plans into runtime operators, *sharing*
 // any node whose spec-and-inputs subtree is identical to one already
 // installed (the operator sharing the paper's auction prices, §II).
+// Both the sharing key (QueryPlan::NodeSignatures) and the per-tuple
+// cost the engine charges and the load estimator prices
+// (OpSpec::cost_per_tuple) are defined here, once.
 
 #ifndef STREAMBID_STREAM_QUERY_H_
 #define STREAMBID_STREAM_QUERY_H_
@@ -30,9 +33,6 @@ enum class OpKind {
   kTopK,
   kDistinct,
 };
-
-/// Stable name for `kind`.
-const char* OpKindName(OpKind kind);
 
 /// Parameters of one plan node (a tagged union; only the fields of the
 /// active kind are meaningful).
@@ -93,6 +93,10 @@ struct OpSpec {
   /// "select(price>100)". Two nodes with equal signatures and equal
   /// input subtrees are shared.
   std::string Signature() const;
+
+  /// Per-tuple processing cost: `cost_override` when positive, else the
+  /// kind's DefaultCosts entry (0 for a source tap).
+  double cost_per_tuple() const;
 };
 
 /// A query plan: nodes with input edges (indices into `nodes`, which
@@ -111,8 +115,11 @@ struct QueryPlan {
   /// at least one source.
   Status Validate() const;
 
-  /// Recursive subtree signature of `node` (the engine's sharing key).
-  std::string NodeSignature(int node) const;
+  /// Subtree signature of every node in node order (the engine's
+  /// sharing key), e.g. "select(price>d:100)<source(quotes)>", each
+  /// built from its inputs' strings. Precondition (checked): every
+  /// input references an earlier node.
+  std::vector<std::string> NodeSignatures() const;
 };
 
 }  // namespace streambid::stream

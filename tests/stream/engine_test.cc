@@ -1,10 +1,15 @@
 // Copyright 2026 The streambid Authors
-// End-to-end engine behaviour: execution, operator sharing, sinks, and
-// measured loads.
+// End-to-end engine behaviour: execution, operator sharing, sinks,
+// measured loads, install order and plan rejection.
 
 #include "stream/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "stream/query_builder.h"
 
@@ -168,7 +173,8 @@ TEST_F(EngineTest, MeasuredLoadLookupBySignature) {
   EXPECT_EQ(engine_.MeasuredLoad("nope").status().code(),
             StatusCode::kNotFound);
   engine_.Run(10.0);
-  auto load = engine_.MeasuredLoad(plan.NodeSignature(plan.output_node));
+  auto load =
+      engine_.MeasuredLoad(plan.NodeSignatures()[plan.output_node]);
   ASSERT_TRUE(load.ok());
   EXPECT_GT(*load, 0.0);
 }
@@ -197,6 +203,111 @@ TEST_F(EngineTest, DeriveOutputSchemaMatchesInstalled) {
   EXPECT_TRUE((*schema)->HasField("symbol"));
   EXPECT_TRUE((*schema)->HasField("window_end"));
   EXPECT_TRUE((*schema)->HasField("value"));
+}
+
+TEST_F(EngineTest, BadOperatorParametersAreInvalidArgument) {
+  // Each plan puts one out-of-range parameter on the output node; the
+  // engine must refuse it instead of reaching the operator's CHECK.
+  using AddBadNode = int (*)(QueryBuilder&, int);
+  const std::vector<std::pair<std::string, AddBadNode>> cases = {
+      {"aggregate size <= 0",
+       [](QueryBuilder& b, int src) {
+         return b.Aggregate(src, AggFn::kCount, "", "", {0.0, 0.0});
+       }},
+      {"aggregate slide <= 0",
+       [](QueryBuilder& b, int src) {
+         return b.Aggregate(src, AggFn::kCount, "", "", {10.0, -1.0});
+       }},
+      {"aggregate slide > size",
+       [](QueryBuilder& b, int src) {
+         return b.Aggregate(src, AggFn::kCount, "", "", {10.0, 20.0});
+       }},
+      {"join window <= 0",
+       [](QueryBuilder& b, int src) {
+         return b.Join(src, src, "symbol", "symbol", 0.0);
+       }},
+      {"distinct window <= 0",
+       [](QueryBuilder& b, int src) {
+         return b.Distinct(src, "symbol", -5.0);
+       }},
+      {"topk window <= 0",
+       [](QueryBuilder& b, int src) { return b.TopK(src, 3, "price", 0.0); }},
+      {"map divides by 0",
+       [](QueryBuilder& b, int src) {
+         return b.Map(src, "price", MapFn::kDiv, 0.0, "q");
+       }},
+      {"aggregate size NaN",
+       [](QueryBuilder& b, int src) {
+         return b.Aggregate(src, AggFn::kCount, "", "", {std::nan(""), 1.0});
+       }},
+      {"join window NaN",
+       [](QueryBuilder& b, int src) {
+         return b.Join(src, src, "symbol", "symbol", std::nan(""));
+       }},
+  };
+  int query_id = 0;
+  for (const auto& [what, add_bad_node] : cases) {
+    SCOPED_TRACE(what);
+    QueryBuilder b;
+    const int src = b.Source("quotes");
+    const QueryPlan plan = b.Build(add_bad_node(b, src));
+    EXPECT_EQ(engine_.DeriveOutputSchema(plan).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine_.InstallQuery(++query_id, plan).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(engine_.IsInstalled(query_id));
+  }
+  EXPECT_EQ(engine_.num_runtime_nodes(), 0);
+}
+
+TEST_F(EngineTest, InstallLinksReachableNodesInDepthFirstPostOrder) {
+  // The join's right input precedes its left input in plan order, and
+  // one select is unreachable from the output.
+  QueryBuilder b;
+  const int src = b.Source("quotes");
+  const int right = b.Select(src, "price", CompareOp::kGt, Value(7.0));
+  const int left = b.Select(src, "price", CompareOp::kGt, Value(3.0));
+  b.Select(src, "price", CompareOp::kGt, Value(9.0));
+  const int join = b.Join(left, right, "symbol", "symbol", 5.0);
+  const QueryPlan plan = b.Build(join);
+  ASSERT_TRUE(engine_.InstallQuery(1, plan).ok());
+
+  // Inputs first, in port order: not plan order, and without node 3.
+  EXPECT_EQ(engine_.num_runtime_nodes(), 4);
+  const std::vector<std::string> sigs = plan.NodeSignatures();
+  const std::vector<int> post_order = {src, left, right, join};
+  const std::vector<OperatorLoadInfo> loads = engine_.OperatorLoads();
+  ASSERT_EQ(loads.size(), post_order.size());
+  for (size_t k = 0; k < post_order.size(); ++k) {
+    EXPECT_EQ(loads[k].signature,
+              sigs[static_cast<size_t>(post_order[k])]);
+  }
+}
+
+TEST_F(EngineTest, FailedInstallLeavesInstalledQueriesUntouched) {
+  ASSERT_TRUE(engine_.InstallQuery(1, SelectPlan(5.0)).ok());
+  auto sharing_degrees = [this] {
+    std::vector<int> degrees;
+    for (const OperatorLoadInfo& info : engine_.OperatorLoads()) {
+      degrees.push_back(info.sharing_degree);
+    }
+    return degrees;
+  };
+  const int nodes_before = engine_.num_runtime_nodes();
+  const std::vector<int> degrees_before = sharing_degrees();
+
+  // q2 reaches q1's select and a fresh select above it; its bad field
+  // sits on a node the output never reaches.
+  QueryBuilder b;
+  const int src = b.Source("quotes");
+  const int shared = b.Select(src, "price", CompareOp::kGt, Value(5.0));
+  b.Select(src, "no_such_field", CompareOp::kGt, Value(1.0));
+  const int fresh = b.Select(shared, "price", CompareOp::kLt, Value(9.0));
+  EXPECT_EQ(engine_.InstallQuery(2, b.Build(fresh)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine_.IsInstalled(2));
+  EXPECT_EQ(engine_.num_runtime_nodes(), nodes_before);
+  EXPECT_EQ(sharing_degrees(), degrees_before);
 }
 
 }  // namespace

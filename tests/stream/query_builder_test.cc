@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace streambid::stream {
 namespace {
 
@@ -60,15 +63,31 @@ TEST(QueryPlanTest, SignatureStableAndStructural) {
   sel = b2.Select(s, "price", CompareOp::kGt, Value(100.0));
   const QueryPlan p2 = b2.Build(sel);
 
-  EXPECT_EQ(p1.NodeSignature(p1.output_node),
-            p2.NodeSignature(p2.output_node));
+  EXPECT_EQ(p1.NodeSignatures()[p1.output_node],
+            p2.NodeSignatures()[p2.output_node]);
 
   QueryBuilder b3;
   s = b3.Source("quotes");
   sel = b3.Select(s, "price", CompareOp::kGt, Value(200.0));  // Differs.
   const QueryPlan p3 = b3.Build(sel);
-  EXPECT_NE(p1.NodeSignature(p1.output_node),
-            p3.NodeSignature(p3.output_node));
+  EXPECT_NE(p1.NodeSignatures()[p1.output_node],
+            p3.NodeSignatures()[p3.output_node]);
+}
+
+TEST(QueryPlanTest, NodeSignaturesSpellEverySubtree) {
+  // A self-join over one select: the select's subtree appears twice.
+  QueryBuilder b;
+  const int src = b.Source("quotes");
+  const int sel = b.Select(src, "price", CompareOp::kGt, Value(5.0));
+  const int self_join = b.Join(sel, sel, "symbol", "symbol", 30.0);
+  const std::vector<std::string> sigs = b.Build(self_join).NodeSignatures();
+  ASSERT_EQ(sigs.size(), 3u);
+  EXPECT_EQ(sigs[0], "source(quotes)");
+  EXPECT_EQ(sigs[1], "select(price>d:5)<source(quotes)>");
+  EXPECT_EQ(sigs[2],
+            "join(symbol==symbol,w=30.000000)"
+            "<select(price>d:5)<source(quotes)>;"
+            "select(price>d:5)<source(quotes)>>");
 }
 
 TEST(QueryPlanTest, ValidateCatchesBadArity) {
@@ -112,6 +131,17 @@ TEST(OpSpecTest, SignaturesDistinguishKinds) {
   agg.field = "x";
   EXPECT_NE(select.Signature(), agg.Signature());
   EXPECT_NE(select.Signature().find("select"), std::string::npos);
+}
+
+TEST(OpSpecTest, CostPerTupleIsOverrideElseKindDefault) {
+  OpSpec spec;
+  spec.kind = OpKind::kJoin;
+  EXPECT_DOUBLE_EQ(spec.cost_per_tuple(), DefaultCosts::kJoin);
+  spec.cost_override = 0.25;
+  EXPECT_DOUBLE_EQ(spec.cost_per_tuple(), 0.25);
+  OpSpec source;
+  source.kind = OpKind::kSource;
+  EXPECT_DOUBLE_EQ(source.cost_per_tuple(), 0.0);
 }
 
 }  // namespace
